@@ -23,47 +23,38 @@ int main(int Argc, char **Argv) {
     return Rc;
   double Scale = Args.Scale;
   JsonSink Sink(Args);
-  banner("Ablation — action-cache byte budget and eviction policy",
+  banner("Ablation — action-cache byte budget",
          "10x smaller cache costs little; gcc degrades when over budget",
-         "speed and eviction counts vs. budget, clear-on-full vs. "
-         "segmented LRU-half, Facile OOO simulator");
+         "speed and clear counts vs. budget under the paper's "
+         "clear-on-full policy, Facile OOO simulator");
 
-  std::printf("%-14s %9s %12s %12s %10s %8s %8s %10s %8s\n", "benchmark",
-              "policy", "budget", "Kips", "ff %", "clears", "evicts",
-              "misses", "entries");
+  std::printf("%-14s %12s %12s %10s %8s %10s %8s\n", "benchmark", "budget",
+              "Kips", "ff %", "clears", "misses", "entries");
 
   for (const char *Name : {"mgrid", "gcc"}) {
     const workload::WorkloadSpec *Spec = workload::findSpec(Name);
     isa::TargetImage Image = workload::generate(*Spec, 1u << 30);
     uint64_t Budget = scaled(1'500'000, Scale);
 
-    for (auto [Policy, PolicyName] :
-         {std::pair{rt::EvictionPolicy::ClearAll, "clearall"},
-          std::pair{rt::EvictionPolicy::Segmented, "segmented"}}) {
-      for (size_t CacheMB : {512, 256, 64, 16, 4}) {
-        rt::Simulation::Options Opts;
-        Opts.CacheBudgetBytes = CacheMB << 20;
-        Opts.Eviction = Policy;
-        FacileSim Sim(SimKind::OutOfOrder, Image, Opts);
-        double T = timeIt([&] { Sim.run(Budget); });
-        const rt::Simulation::Stats &S = Sim.sim().stats();
-        const rt::ActionCache::Stats &CS = Sim.sim().cache().stats();
-        std::printf("%-14s %9s %9zu MB %12.0f %9.3f%% %8llu %8llu %10llu "
-                    "%8zu\n",
-                    Spec->Name.c_str(), PolicyName, CacheMB,
-                    static_cast<double>(S.RetiredTotal) / T / 1e3,
-                    S.fastForwardedPct(),
-                    static_cast<unsigned long long>(CS.Clears),
-                    static_cast<unsigned long long>(CS.Evictions),
-                    static_cast<unsigned long long>(S.Misses),
-                    Sim.sim().cache().entryCount());
-        Sink.begin()
-            .field("bench", Spec->Name)
-            .field("policy", PolicyName)
-            .field("budget_mb", static_cast<uint64_t>(CacheMB))
-            .rawField("stats", Sim.statsJson());
-        Sink.commit();
-      }
+    for (size_t CacheMB : {512, 256, 64, 16, 4}) {
+      rt::Simulation::Options Opts;
+      Opts.CacheBudgetBytes = CacheMB << 20;
+      FacileSim Sim(SimKind::OutOfOrder, Image, Opts);
+      double T = timeIt([&] { Sim.run(Budget); });
+      const rt::Simulation::Stats &S = Sim.sim().stats();
+      std::printf("%-14s %9zu MB %12.0f %9.3f%% %8llu %10llu %8zu\n",
+                  Spec->Name.c_str(), CacheMB,
+                  static_cast<double>(S.RetiredTotal) / T / 1e3,
+                  S.fastForwardedPct(),
+                  static_cast<unsigned long long>(
+                      Sim.sim().cache().stats().Clears),
+                  static_cast<unsigned long long>(S.Misses),
+                  Sim.sim().cache().entryCount());
+      Sink.begin()
+          .field("bench", Spec->Name)
+          .field("budget_mb", static_cast<uint64_t>(CacheMB))
+          .rawField("stats", Sim.statsJson());
+      Sink.commit();
     }
   }
   return 0;

@@ -39,14 +39,6 @@ using namespace facile::sims;
 
 int main(int Argc, char **Argv) {
   BenchArgs Args("bench_fig12_facile");
-  // --guards=off runs the memoized simulator with the guarded execution
-  // layer disabled (no bounds/seal checks on replay); the run always
-  // measures both configurations so the JSON records the guard overhead,
-  // the flag just selects which one the headline memo numbers come from.
-  bool GuardsOn = true;
-  Args.parser().onOff("guards",
-                      GuardsOn, "guarded replay for the headline memo "
-                                "numbers (default on)");
   // --jit=on adds the template-JIT configuration unconditionally (it
   // degrades to the interpreter on unsupported hosts, recorded in the
   // JSON); off skips it; auto (default) runs it when the host supports it.
@@ -71,8 +63,8 @@ int main(int Argc, char **Argv) {
               "memo Kips", "nomemo Kips", "sscalar Kips", "memo/nom",
               "memo/sscal", "vs hand", "jit", "ff%");
 
-  std::vector<double> MemoSpeedups, VsScalar, VsHand, GuardOverheads,
-      TelemetryOverheads, JitSpeedups;
+  std::vector<double> MemoSpeedups, VsScalar, VsHand, TelemetryOverheads,
+      JitSpeedups;
   bool JitDigestsMatch = true;
   uint64_t JitCompiledActions = 0;
   for (const workload::WorkloadSpec &Spec : workload::spec95Suite()) {
@@ -85,82 +77,66 @@ int main(int Argc, char **Argv) {
     // The memoized baselines pin the interpreting backend explicitly:
     // kips_memo keeps meaning what it always meant even on hosts where
     // Auto would resolve to the JIT.
-    rt::Simulation::Options Guarded;
-    Guarded.Guards = true;
-    Guarded.Backend = rt::BackendKind::Interpret;
+    rt::Simulation::Options MemoOpts;
+    MemoOpts.Backend = rt::BackendKind::Interpret;
 
-    // Warm-up: one discarded guarded run per benchmark. First-touch costs
-    // (page faults, allocator growth, the per-process compile cache) used
-    // to land entirely on the first timed configuration and skew the
-    // guarded-vs-unguarded comparison; its raw sample still goes in the
-    // JSON so the discarded data stays inspectable.
-    FacileSim Warmup(SimKind::OutOfOrder, Image, Guarded);
+    // Warm-up: one discarded memoized run per benchmark. First-touch costs
+    // (page faults, allocator growth, the per-process compile cache) would
+    // otherwise land entirely on the first timed configuration and skew
+    // the telemetry comparison; its raw sample still goes in the JSON so
+    // the discarded data stays inspectable.
+    FacileSim Warmup(SimKind::OutOfOrder, Image, MemoOpts);
     double TWarmup = timeIt([&] { Warmup.run(MemoBudget); });
     double KipsWarmup =
         static_cast<double>(Warmup.sim().stats().RetiredTotal) / TWarmup / 1e3;
 
-    FacileSim MemoG(SimKind::OutOfOrder, Image, Guarded);
-    double TMemoG = timeIt([&] { MemoG.run(MemoBudget); });
-    double KipsMemoG =
-        static_cast<double>(MemoG.sim().stats().RetiredTotal) / TMemoG / 1e3;
+    FacileSim Memo(SimKind::OutOfOrder, Image, MemoOpts);
+    double TMemo = timeIt([&] { Memo.run(MemoBudget); });
+    double KipsMemo =
+        static_cast<double>(Memo.sim().stats().RetiredTotal) / TMemo / 1e3;
 
-    rt::Simulation::Options Unguarded = Guarded;
-    Unguarded.Guards = false;
-    FacileSim MemoU(SimKind::OutOfOrder, Image, Unguarded);
-    double TMemoU = timeIt([&] { MemoU.run(MemoBudget); });
-    double KipsMemoU =
-        static_cast<double>(MemoU.sim().stats().RetiredTotal) / TMemoU / 1e3;
-
-    // Guard overhead: how much slower the guarded replay runs, in percent.
-    double GuardOverheadPct = (KipsMemoU / KipsMemoG - 1.0) * 100.0;
-    GuardOverheads.push_back(GuardOverheadPct);
-
-    // Telemetry overhead: guarded run with a tracer attached (spans merged
-    // in the ring, never written out) and the profiler attached but
+    // Telemetry overhead: the same run with a tracer attached (spans
+    // merged in the ring, never written out) and the profiler attached but
     // disabled — the cost of carrying the instrumentation, not of using it.
-    FacileSim MemoGT(SimKind::OutOfOrder, Image, Guarded);
+    FacileSim MemoT(SimKind::OutOfOrder, Image, MemoOpts);
     telemetry::EventTracer Tracer;
-    telemetry::ActionProfiler Prof(MemoGT.sim().actionCount());
+    telemetry::ActionProfiler Prof(MemoT.sim().actionCount());
     Prof.setEnabled(false);
-    MemoGT.setTracer(&Tracer);
-    MemoGT.setProfiler(&Prof);
-    double TMemoGT = timeIt([&] { MemoGT.run(MemoBudget); });
-    double KipsMemoGT =
-        static_cast<double>(MemoGT.sim().stats().RetiredTotal) / TMemoGT / 1e3;
-    double TelemetryOverheadPct = (KipsMemoG / KipsMemoGT - 1.0) * 100.0;
+    MemoT.setTracer(&Tracer);
+    MemoT.setProfiler(&Prof);
+    double TMemoT = timeIt([&] { MemoT.run(MemoBudget); });
+    double KipsMemoT =
+        static_cast<double>(MemoT.sim().stats().RetiredTotal) / TMemoT / 1e3;
+    double TelemetryOverheadPct = (KipsMemo / KipsMemoT - 1.0) * 100.0;
     TelemetryOverheads.push_back(TelemetryOverheadPct);
 
-    // Template-JIT configuration: identical work to MemoG/MemoU, with the
+    // Template-JIT configuration: identical work to Memo, with the
     // hot actions compiled to native code. Threshold 1 compiles on first
     // replay — the budgets here are far below production run lengths, so
     // the default warm-up threshold would understate steady-state gain.
     double KipsMemoJit = 0.0, JitSpeedup = 0.0;
     bool JitRan = false, JitDigestOk = true;
     if (RunJit) {
-      rt::Simulation::Options JitOpts = GuardsOn ? Guarded : Unguarded;
+      rt::Simulation::Options JitOpts = MemoOpts;
       JitOpts.Backend = rt::BackendKind::Jit;
       JitOpts.JitThreshold = 1;
       FacileSim MemoJ(SimKind::OutOfOrder, Image, JitOpts);
       double TMemoJ = timeIt([&] { MemoJ.run(MemoBudget); });
       KipsMemoJit = static_cast<double>(MemoJ.sim().stats().RetiredTotal) /
                     TMemoJ / 1e3;
-      JitSpeedup = KipsMemoJit / (GuardsOn ? KipsMemoG : KipsMemoU);
+      JitSpeedup = KipsMemoJit / KipsMemo;
       JitRan = std::string(MemoJ.sim().backendName()) == "jit";
       if (JitRan)
         JitSpeedups.push_back(JitSpeedup);
       // Same budget, same deterministic workload: the final target memory
       // must be bit-identical across backends.
-      FacileSim &Ref = GuardsOn ? MemoG : MemoU;
       JitDigestOk = MemoJ.sim().memory().digest() ==
-                        Ref.sim().memory().digest() &&
+                        Memo.sim().memory().digest() &&
                     MemoJ.sim().stats().RetiredTotal ==
-                        Ref.sim().stats().RetiredTotal;
+                        Memo.sim().stats().RetiredTotal;
       JitDigestsMatch = JitDigestsMatch && JitDigestOk;
       JitCompiledActions += MemoJ.sim().jitCompiledActions();
     }
-
-    FacileSim &Memo = GuardsOn ? MemoG : MemoU;
-    double KipsMemo = GuardsOn ? KipsMemoG : KipsMemoU;
 
     rt::Simulation::Options Off;
     Off.Memoize = false;
@@ -194,15 +170,12 @@ int main(int Argc, char **Argv) {
         .field("bench", Spec.Name)
         .field("kips_memo", KipsMemo)
         .field("kips_nomemo", KipsNo)
-        .field("kips_memo_guarded", KipsMemoG)
-        .field("kips_memo_unguarded", KipsMemoU)
-        .field("kips_memo_guarded_warmup", KipsWarmup)
-        .field("kips_memo_telemetry", KipsMemoGT)
+        .field("kips_memo_warmup", KipsWarmup)
+        .field("kips_memo_telemetry", KipsMemoT)
         .field("kips_memo_jit", KipsMemoJit)
         .field("jit_speedup", JitSpeedup)
         .field("jit_ran", JitRan)
         .field("jit_digest_match", JitDigestOk)
-        .field("guard_overhead_pct", GuardOverheadPct)
         .field("telemetry_overhead_pct", TelemetryOverheadPct)
         .rawField("stats", Memo.statsJson());
     Sink.commit();
@@ -214,7 +187,6 @@ int main(int Argc, char **Argv) {
       Sum += O;
     return V.empty() ? 0.0 : Sum / static_cast<double>(V.size());
   };
-  double MeanOverhead = Mean(GuardOverheads);
   double MeanTelemetry = Mean(TelemetryOverheads);
   // Speedup ratios aggregate geometrically — the workloads' absolute
   // speeds span 20x, and a geomean weights each ratio equally.
@@ -232,9 +204,6 @@ int main(int Argc, char **Argv) {
               "hand-coded %.3fx (paper ~1/6)\n",
               harmonicMean(MemoSpeedups), harmonicMean(VsScalar),
               harmonicMean(VsHand));
-  std::printf("guarded replay overhead: %.2f%% mean across the suite "
-              "(budget: <= 5%%)\n",
-              MeanOverhead);
   std::printf("attached-telemetry overhead: %.2f%% mean across the suite "
               "(budget: <= 1%% at full scale)\n",
               MeanTelemetry);
@@ -249,7 +218,6 @@ int main(int Argc, char **Argv) {
   // line instead of re-averaging the per-benchmark rows.
   Sink.begin()
       .field("summary", true)
-      .field("mean_guard_overhead_pct", MeanOverhead)
       .field("mean_telemetry_overhead_pct", MeanTelemetry)
       .field("hmean_memo_speedup", harmonicMean(MemoSpeedups))
       .field("hmean_vs_simplescalar", harmonicMean(VsScalar))

@@ -8,9 +8,9 @@
 /// Deterministic fault injector for hardening campaigns. Given a seeded
 /// spec, it flips bits in target memory and in the action cache's node and
 /// data arenas, truncates the packed execution plan's streams, and makes
-/// extern calls fail — the exact corruptions the guarded execution layer
-/// (Options::Guards) must either absorb or convert into a structured
-/// SimFault, never a crash, hang or silent divergence.
+/// extern calls fail — the exact corruptions the engines' integrity guards
+/// must either absorb or convert into a structured SimFault, never a
+/// crash, hang or silent divergence.
 ///
 /// Usage: construct over a Simulation, arm() once to install the extern
 /// failure hook, then interleave inject() with short run() chunks:

@@ -83,8 +83,8 @@ using JitFn = int64_t (*)(const JitFrame *Frame, const int64_t *Span);
 
 /// Negative return values of a JitFn.
 enum JitBail : int64_t {
-  /// Guarded instruction fetch outside the text segment. The caller raises
-  /// the same DecodeError fault the guarded interpreter raises mid-node.
+  /// Instruction fetch outside the text segment. The caller raises the
+  /// same DecodeError fault the interpreter raises mid-node.
   BailFetchOob = -1,
   /// An extern call failed. The fault was already raised inside the extern
   /// thunk (by Simulation::externCall); the caller just reports Faulted.

@@ -24,25 +24,23 @@ JitCache::JitCache(const CompiledProgram &Prog, const rt::ExecPlan &Plan,
     Ctx.LocArraySizes.push_back(L.Size);
 
   NumActions = static_cast<uint32_t>(Plan.ActionOfs.size() - 1);
-  GuardedFns = std::make_unique<std::atomic<JitFn>[]>(NumActions);
-  UnguardedFns = std::make_unique<std::atomic<JitFn>[]>(NumActions);
+  Fns = std::make_unique<std::atomic<JitFn>[]>(NumActions);
   Visits = std::make_unique<std::atomic<uint32_t>[]>(NumActions);
   State = std::make_unique<std::atomic<uint8_t>[]>(NumActions);
   for (uint32_t A = 0; A != NumActions; ++A) {
-    GuardedFns[A].store(nullptr, std::memory_order_relaxed);
-    UnguardedFns[A].store(nullptr, std::memory_order_relaxed);
+    Fns[A].store(nullptr, std::memory_order_relaxed);
     Visits[A].store(0, std::memory_order_relaxed);
     State[A].store(Cold, std::memory_order_relaxed);
   }
   Words.assign(NumActions, 0);
 
   NumBlocks = static_cast<uint32_t>(Plan.BlockOfs.size() - 1);
-  for (unsigned V = 0; V != 4; ++V)
+  for (unsigned V = 0; V != 2; ++V)
     BlockFns[V] = std::make_unique<std::atomic<JitFn>[]>(NumBlocks);
   BlockVisits = std::make_unique<std::atomic<uint32_t>[]>(NumBlocks);
   BlockState = std::make_unique<std::atomic<uint8_t>[]>(NumBlocks);
   for (uint32_t B = 0; B != NumBlocks; ++B) {
-    for (unsigned V = 0; V != 4; ++V)
+    for (unsigned V = 0; V != 2; ++V)
       BlockFns[V][B].store(nullptr, std::memory_order_relaxed);
     BlockVisits[B].store(0, std::memory_order_relaxed);
     BlockState[B].store(Cold, std::memory_order_relaxed);
@@ -63,36 +61,25 @@ void JitCache::noteVisit(uint32_t Action, uint32_t Threshold) {
 }
 
 void JitCache::compileLocked(uint32_t Action) {
-  std::vector<uint8_t> GCode, UCode;
-  uint32_t GWords = 0, UWords = 0;
-  if (!emitAction(Ctx, Action, /*Guarded=*/true, GCode, GWords) ||
-      !emitAction(Ctx, Action, /*Guarded=*/false, UCode, UWords)) {
+  std::vector<uint8_t> Code;
+  uint32_t NumWords = 0;
+  if (!emitAction(Ctx, Action, Code, NumWords)) {
     State[Action].store(NoCompile, std::memory_order_relaxed);
     return;
   }
-  assert(GWords == UWords && "guard variants must agree on span layout");
-
-  // Both variants share one page-rounded W^X chunk, published together.
-  std::vector<uint8_t> Both = GCode;
-  Both.insert(Both.end(), UCode.begin(), UCode.end());
-  const uint8_t *Base = Arena.publish(Both.data(), Both.size());
+  const uint8_t *Base = Arena.publish(Code.data(), Code.size());
   if (!Base) {
     State[Action].store(NoCompile, std::memory_order_relaxed);
     return;
   }
 
-  Words[Action] = GWords;
+  Words[Action] = NumWords;
   Compiled.fetch_add(1, std::memory_order_relaxed);
-  CodeBytes.fetch_add(Both.size(), std::memory_order_relaxed);
-  // Release: a reader that sees either pointer sees the code bytes, the
+  CodeBytes.fetch_add(Code.size(), std::memory_order_relaxed);
+  // Release: a reader that sees the pointer sees the code bytes, the
   // protection flip and Words[Action].
-  UnguardedFns[Action].store(
-      reinterpret_cast<JitFn>(
-          reinterpret_cast<uintptr_t>(Base + GCode.size())),
-      std::memory_order_release);
-  GuardedFns[Action].store(
-      reinterpret_cast<JitFn>(reinterpret_cast<uintptr_t>(Base)),
-      std::memory_order_release);
+  Fns[Action].store(reinterpret_cast<JitFn>(reinterpret_cast<uintptr_t>(Base)),
+                    std::memory_order_release);
   State[Action].store(Published, std::memory_order_relaxed);
 }
 
@@ -108,25 +95,23 @@ void JitCache::noteBlockVisit(uint32_t B, uint32_t Threshold) {
 }
 
 void JitCache::compileBlockLocked(uint32_t B) {
-  // All four variants or none: a body that compiles in one guard mode
-  // compiles in the other (the templates differ only inside Fetch), and
-  // publishing a partial set would let one session's shape diverge.
-  std::vector<uint8_t> Codes[4];
-  uint32_t CapWords[4] = {0, 0, 0, 0};
-  for (unsigned V = 0; V != 4; ++V) {
-    if (!emitBlock(Ctx, B, /*Guarded=*/(V & 2) != 0, /*Recording=*/(V & 1) != 0,
-                   Codes[V], CapWords[V])) {
+  // Both variants or none: the recording variant only adds capture
+  // stores, and publishing a partial set would let one session's shape
+  // diverge.
+  std::vector<uint8_t> Codes[2];
+  uint32_t CapWords[2] = {0, 0};
+  for (unsigned V = 0; V != 2; ++V) {
+    if (!emitBlock(Ctx, B, /*Recording=*/V != 0, Codes[V], CapWords[V])) {
       BlockState[B].store(NoCompile, std::memory_order_relaxed);
       return;
     }
   }
-  assert(CapWords[0] == CapWords[1] && CapWords[1] == CapWords[2] &&
-         CapWords[2] == CapWords[3] &&
+  assert(CapWords[0] == CapWords[1] &&
          "block variants must agree on capture layout");
 
   std::vector<uint8_t> All;
-  size_t Ofs[4];
-  for (unsigned V = 0; V != 4; ++V) {
+  size_t Ofs[2];
+  for (unsigned V = 0; V != 2; ++V) {
     Ofs[V] = All.size();
     All.insert(All.end(), Codes[V].begin(), Codes[V].end());
   }
@@ -141,7 +126,7 @@ void JitCache::compileBlockLocked(uint32_t B) {
   CodeBytes.fetch_add(All.size(), std::memory_order_relaxed);
   // Release: a reader that sees any pointer sees the code bytes, the
   // protection flip and BlockWords[B].
-  for (unsigned V = 0; V != 4; ++V)
+  for (unsigned V = 0; V != 2; ++V)
     BlockFns[V][B].store(
         reinterpret_cast<JitFn>(reinterpret_cast<uintptr_t>(Base + Ofs[V])),
         std::memory_order_release);

@@ -17,10 +17,6 @@
 ///    after the W^X arena flipped the chunk read-execute; the replay loop
 ///    acquire-loads them, so a non-null pointer always sees finished code.
 ///
-/// Two variants exist per action — guarded and unguarded — differing only
-/// in the Fetch template (bail vs produce-0 on out-of-range addresses),
-/// mirroring the two interpreter instantiations.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef FACILE_JIT_JITCACHE_H
@@ -53,11 +49,10 @@ public:
   /// both compile against identical constants.
   const EmitContext &ctx() const { return Ctx; }
 
-  /// The compiled entry point for \p Action in the given guard mode, or
-  /// null while it is still interpreted.
-  JitFn fn(uint32_t Action, bool Guarded) const {
-    return (Guarded ? GuardedFns : UnguardedFns)[Action].load(
-        std::memory_order_acquire);
+  /// The compiled entry point for \p Action, or null while it is still
+  /// interpreted.
+  JitFn fn(uint32_t Action) const {
+    return Fns[Action].load(std::memory_order_acquire);
   }
 
   /// Placeholder words the compiled action consumes. Only meaningful once
@@ -72,24 +67,23 @@ public:
 
   //===-- Slow-path block bodies -------------------------------------------
   // The complete (rt-static + dynamic) body of every slow-stream block
-  // compiles once per plan in four variants — Guarded × Recording — and is
+  // compiles once per plan in two variants — recording or not — and is
   // dispatched by the slow engine on every cold or unmemoized step. Blocks
   // are few and shared, so they amortize perfectly; like actions they trip
   // on a per-block visit count.
 
   /// The compiled body of block \p B for the variant, or null while it is
   /// interpreted.
-  JitFn blockFn(uint32_t B, bool Guarded, bool Recording) const {
+  JitFn blockFn(uint32_t B, bool Recording) const {
     if (B >= NumBlocks)
       return nullptr;
-    return BlockFns[variant(Guarded, Recording)][B].load(
-        std::memory_order_acquire);
+    return BlockFns[Recording][B].load(std::memory_order_acquire);
   }
   /// Placeholder words one recording execution of block \p B captures.
   /// Meaningful once blockFn() returned non-null for any variant.
   uint32_t blockCaptureWords(uint32_t B) const { return BlockWords[B]; }
-  /// Counts one interpreted execution of block \p B's body; compiles all
-  /// four variants once the count reaches \p Threshold.
+  /// Counts one interpreted execution of block \p B's body; compiles both
+  /// variants once the count reaches \p Threshold.
   void noteBlockVisit(uint32_t B, uint32_t Threshold);
 
   uint64_t compiledActions() const {
@@ -105,22 +99,17 @@ public:
 private:
   enum : uint8_t { Cold = 0, Published = 1, NoCompile = 2 };
 
-  static unsigned variant(bool Guarded, bool Recording) {
-    return (Guarded ? 2u : 0u) + (Recording ? 1u : 0u);
-  }
-
   void compileLocked(uint32_t Action);
   void compileBlockLocked(uint32_t B);
 
   EmitContext Ctx;
   uint32_t NumActions = 0;
   uint32_t NumBlocks = 0;
-  std::unique_ptr<std::atomic<JitFn>[]> GuardedFns;
-  std::unique_ptr<std::atomic<JitFn>[]> UnguardedFns;
+  std::unique_ptr<std::atomic<JitFn>[]> Fns;
   std::unique_ptr<std::atomic<uint32_t>[]> Visits;
   std::unique_ptr<std::atomic<uint8_t>[]> State;
   std::vector<uint32_t> Words; ///< written under Mu before publication
-  std::unique_ptr<std::atomic<JitFn>[]> BlockFns[4]; ///< by variant()
+  std::unique_ptr<std::atomic<JitFn>[]> BlockFns[2]; ///< by Recording
   std::unique_ptr<std::atomic<uint32_t>[]> BlockVisits;
   std::unique_ptr<std::atomic<uint8_t>[]> BlockState;
   std::vector<uint32_t> BlockWords; ///< written under Mu before publication

@@ -367,8 +367,7 @@ public:
 
 class ActionCompiler {
 public:
-  ActionCompiler(const EmitContext &Ctx, bool Guarded, Asm &A)
-      : Ctx(Ctx), Guarded(Guarded), A(A) {}
+  ActionCompiler(const EmitContext &Ctx, Asm &A) : Ctx(Ctx), A(A) {}
 
   bool compile(uint32_t Action, uint32_t &WordsOut);
 
@@ -390,7 +389,6 @@ public:
 
 private:
   const EmitContext &Ctx;
-  const bool Guarded;
   Asm &A;
   uint32_t K = 0; ///< compile-time placeholder cursor (Span word index)
   bool Slow = false;      ///< emitting a slow-stream (complete) block body
@@ -689,27 +687,14 @@ bool ActionCompiler::emitInst(const XInst &I, uint32_t FastIdx) {
     size_t J1 = A.jcc(CcB);
     A.cmpR32I32(RCX, Hi);
     size_t J2 = A.jcc(CcAE);
-    if (Guarded) {
-      // Out of range: bail; the caller raises the interpreter's immediate
-      // DecodeError.
-      FetchBails.push_back(J1);
-      FetchBails.push_back(J2);
-      A.subR32I32(RCX, Lo);
-      A.shrR32Imm(RCX, 2);
-      A.movRI64(RDX, reinterpret_cast<uint64_t>(Img.Text.data()));
-      A.movR32MIdx4(RAX, RDX, RCX);
-    } else {
-      // Unguarded fetch() returns 0 out of range and keeps going.
-      A.subR32I32(RCX, Lo);
-      A.shrR32Imm(RCX, 2);
-      A.movRI64(RDX, reinterpret_cast<uint64_t>(Img.Text.data()));
-      A.movR32MIdx4(RAX, RDX, RCX);
-      size_t Done = A.jmp();
-      A.patchHere(J1);
-      A.patchHere(J2);
-      A.xorR32(RAX);
-      A.patchHere(Done);
-    }
+    // Out of range: bail; the caller raises the interpreter's immediate
+    // DecodeError.
+    FetchBails.push_back(J1);
+    FetchBails.push_back(J2);
+    A.subR32I32(RCX, Lo);
+    A.shrR32Imm(RCX, 2);
+    A.movRI64(RDX, reinterpret_cast<uint64_t>(Img.Text.data()));
+    A.movR32MIdx4(RAX, RDX, RCX);
     return storeSlot(I.Dst);
   }
   case XOp::CallExtern: {
@@ -1045,15 +1030,13 @@ bool ActionCompiler::compileBlock(uint32_t Block, bool Rec,
 
 class TraceCompiler {
 public:
-  TraceCompiler(const EmitContext &Ctx, bool Guarded)
-      : Ctx(Ctx), Guarded(Guarded), C(Ctx, Guarded, A) {}
+  explicit TraceCompiler(const EmitContext &Ctx) : Ctx(Ctx), C(Ctx, A) {}
 
   bool compile(const std::vector<TraceNodeDesc> &Nodes,
                std::vector<uint8_t> &Out, std::vector<TraceExitDesc> &Exits);
 
 private:
   const EmitContext &Ctx;
-  const bool Guarded;
   Asm A;
   ActionCompiler C;
 
@@ -1194,25 +1177,24 @@ bool TraceCompiler::compile(const std::vector<TraceNodeDesc> &Nodes,
 
 } // namespace
 
-bool jit::emitAction(const EmitContext &Ctx, uint32_t Action, bool Guarded,
+bool jit::emitAction(const EmitContext &Ctx, uint32_t Action,
                      std::vector<uint8_t> &Code, uint32_t &WordsOut) {
   if (!available() || !Ctx.Plan || !Ctx.Image || !Ctx.Hooks.Extern)
     return false;
   Asm A;
-  ActionCompiler C(Ctx, Guarded, A);
+  ActionCompiler C(Ctx, A);
   if (!C.compile(Action, WordsOut))
     return false;
   Code = std::move(A.Code);
   return true;
 }
 
-bool jit::emitBlock(const EmitContext &Ctx, uint32_t Block, bool Guarded,
-                    bool Recording, std::vector<uint8_t> &Code,
-                    uint32_t &CaptureWordsOut) {
+bool jit::emitBlock(const EmitContext &Ctx, uint32_t Block, bool Recording,
+                    std::vector<uint8_t> &Code, uint32_t &CaptureWordsOut) {
   if (!available() || !Ctx.Plan || !Ctx.Image || !Ctx.Hooks.ExternSlow)
     return false;
   Asm A;
-  ActionCompiler C(Ctx, Guarded, A);
+  ActionCompiler C(Ctx, A);
   if (!C.compileBlock(Block, Recording, CaptureWordsOut))
     return false;
   Code = std::move(A.Code);
@@ -1220,11 +1202,11 @@ bool jit::emitBlock(const EmitContext &Ctx, uint32_t Block, bool Guarded,
 }
 
 bool jit::emitTrace(const EmitContext &Ctx,
-                    const std::vector<TraceNodeDesc> &Nodes, bool Guarded,
+                    const std::vector<TraceNodeDesc> &Nodes,
                     std::vector<uint8_t> &Code,
                     std::vector<TraceExitDesc> &Exits) {
   if (!available() || !Ctx.Plan || !Ctx.Image || !Ctx.Hooks.Extern)
     return false;
   Exits.clear();
-  return TraceCompiler(Ctx, Guarded).compile(Nodes, Code, Exits);
+  return TraceCompiler(Ctx).compile(Nodes, Code, Exits);
 }

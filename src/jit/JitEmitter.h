@@ -58,14 +58,13 @@ struct EmitContext {
 
 /// Compiles action \p Action into \p Code (relocatable: only rip-relative
 /// jumps internal to the function, all external references are absolute
-/// 64-bit immediates). \p Guarded selects the fetch template that bails on
-/// an out-of-range address (mirroring the guarded interpreter's immediate
-/// DecodeError) instead of producing 0. Returns false — emitting nothing
+/// 64-bit immediates). An out-of-range instruction fetch bails (mirroring
+/// the interpreter's immediate DecodeError). Returns false — emitting nothing
 /// usable — when the stream contains anything the templates cannot express
 /// bit-exactly or any statically invalid operand; the caller then pins the
 /// action to the interpreter. \p WordsOut receives the placeholder words
 /// the compiled stream consumes.
-bool emitAction(const EmitContext &Ctx, uint32_t Action, bool Guarded,
+bool emitAction(const EmitContext &Ctx, uint32_t Action,
                 std::vector<uint8_t> &Code, uint32_t &WordsOut);
 
 /// Compiles the *body* of slow-stream block \p Block (everything up to but
@@ -81,9 +80,8 @@ bool emitAction(const EmitContext &Ctx, uint32_t Action, bool Guarded,
 /// seal and peak accounting) after the call returns. Returns 0 on success
 /// or a JitBail code; false when the block contains anything the templates
 /// cannot express bit-exactly.
-bool emitBlock(const EmitContext &Ctx, uint32_t Block, bool Guarded,
-               bool Recording, std::vector<uint8_t> &Code,
-               uint32_t &CaptureWordsOut);
+bool emitBlock(const EmitContext &Ctx, uint32_t Block, bool Recording,
+               std::vector<uint8_t> &Code, uint32_t &CaptureWordsOut);
 
 /// Sentinel successor for TraceNodeDesc: control leaves the trace here
 /// (the emitter materializes a side exit returning the exit's id).
@@ -122,8 +120,7 @@ struct TraceExitDesc {
 /// inexpressible or consumes a different word count than its recorded
 /// span.
 bool emitTrace(const EmitContext &Ctx, const std::vector<TraceNodeDesc> &Nodes,
-               bool Guarded, std::vector<uint8_t> &Code,
-               std::vector<TraceExitDesc> &Exits);
+               std::vector<uint8_t> &Code, std::vector<TraceExitDesc> &Exits);
 
 /// True when this build can emit and run native code (x86-64 with mmap).
 bool available();

@@ -15,7 +15,7 @@
 /// Validity is epoch-gated: a trace records the cache's mutation epoch at
 /// compile time and is only dispatched while the epoch still matches.
 /// Every out-of-band corruption channel (fault injection) bumps the epoch,
-/// so a trace can never run over state the guarded interpreter would have
+/// so a trace can never run over state the interpreter would have
 /// re-verified — the step falls back to the interpreter, which performs
 /// the full seal sweep and detects or absorbs the corruption. Arena
 /// rebuilds (eviction, snapshot loads, base attach/detach) invalidate node

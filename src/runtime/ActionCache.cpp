@@ -125,7 +125,6 @@ EntryId ActionCache::create(KeyId K) {
   EntryId E = static_cast<EntryId>(Entries.size());
   Entries.emplace_back();
   Entries.back().Key = K;
-  Entries.back().LastUse = ++Tick;
   KeyToEntry[K] = E;
   notePeak();
   return E;
@@ -149,7 +148,6 @@ bool ActionCache::attachBase(const BaseArenas &B) {
     Entries.assign(B.Entries, B.Entries + B.NumEntries);
   BaseVerified.assign(B.NumNodes, 0);
   Table.clear();
-  Tick = std::max(Tick, B.Tick);
   ++Epoch;
   PendingXor = 0;
   notePeak();
@@ -195,10 +193,11 @@ void ActionCache::resetToBase() {
 }
 
 //===----------------------------------------------------------------------===//
-// Eviction
+// Clear-on-full
 //===----------------------------------------------------------------------===//
 
 void ActionCache::clear() {
+  notePeak();
   if (HasBase) {
     resetToBase();
     ++S.Clears;
@@ -218,27 +217,11 @@ void ActionCache::clear() {
   ++S.Clears;
 }
 
-void ActionCache::evict() {
-  notePeak();
-  // A mapped base cannot be compacted in place; both policies degenerate
-  // to dropping the overlay and re-seeding from the base image.
-  if (!HasBase && Policy == EvictionPolicy::Segmented && Entries.size() >= 2) {
-    evictSegmented();
-    // Compaction keeps the hot half; if even that half exceeds the budget
-    // (one giant working set), fall back to the wholesale clear.
-    if (overBudget())
-      clear();
-    return;
-  }
-  clear();
-}
-
 //===----------------------------------------------------------------------===//
 // Persistence
 //===----------------------------------------------------------------------===//
 
 void ActionCache::serialize(snapshot::Writer &W) const {
-  W.u64(Tick);
   // Key pool, base bytes below overlay bytes (charVec wire layout). With
   // no base attached this is byte-identical to the historical format.
   W.u64(keyPoolBytes());
@@ -263,7 +246,6 @@ void ActionCache::serialize(snapshot::Writer &W) const {
   for (const CacheEntry &E : Entries) {
     W.u32(E.Head);
     W.u32(E.Key);
-    W.u64(E.LastUse);
   }
   W.u64(nodeCount());
   for (uint32_t I = 0; I != nodeCount(); ++I) {
@@ -296,8 +278,6 @@ void ActionCache::serialize(snapshot::Writer &W) const {
 }
 
 bool ActionCache::deserialize(snapshot::Reader &R, uint32_t NumActions) {
-  uint64_t NewTick = R.u64();
-
   std::vector<char> NewKeyPool;
   if (!R.charVec(NewKeyPool))
     return false;
@@ -321,13 +301,12 @@ bool ActionCache::deserialize(snapshot::Reader &R, uint32_t NumActions) {
     return false;
 
   uint64_t NumEntries = R.u64();
-  if (!R.ok() || NumEntries > R.remaining() / 16 || NumEntries >= NoId)
+  if (!R.ok() || NumEntries > R.remaining() / 8 || NumEntries >= NoId)
     return false;
   std::vector<CacheEntry> NewEntries(static_cast<size_t>(NumEntries));
   for (CacheEntry &E : NewEntries) {
     E.Head = R.u32();
     E.Key = R.u32();
-    E.LastUse = R.u64();
     if (E.Key >= NewKeys.size())
       return false;
   }
@@ -392,7 +371,6 @@ bool ActionCache::deserialize(snapshot::Reader &R, uint32_t NumActions) {
   }
 
   FlatImage Img;
-  Img.Tick = NewTick;
   Img.KeyPool = std::move(NewKeyPool);
   Img.Keys = std::move(NewKeys);
   Img.KeyToEntry = std::move(NewKeyToEntry);
@@ -411,10 +389,8 @@ bool ActionCache::deserialize(snapshot::Reader &R, uint32_t NumActions) {
 // Compaction
 //===----------------------------------------------------------------------===//
 
-ActionCache::FlatImage ActionCache::compactImage(uint64_t KeepThreshold,
-                                                 bool DropDetached) const {
+ActionCache::FlatImage ActionCache::compactImage() const {
   FlatImage Img;
-  Img.Tick = Tick;
 
   // Copies key \p Old into the new pool once, returning its new id.
   std::vector<KeyId> KeyRemap(keyCount(), NoId);
@@ -447,19 +423,14 @@ ActionCache::FlatImage ActionCache::compactImage(uint64_t KeepThreshold,
   std::vector<WorkItem> Work;
 
   for (const CacheEntry &E : Entries) {
-    if (E.LastUse < KeepThreshold)
-      continue;
-    if (DropDetached && E.Head == ActionNode::NoNode)
+    if (E.Head == ActionNode::NoNode)
       continue;
     EntryId NewE = static_cast<EntryId>(Img.Entries.size());
     Img.Entries.emplace_back();
     CacheEntry &C = Img.Entries.back();
     C.Key = remapKey(E.Key);
-    C.LastUse = E.LastUse;
     Img.KeyToEntry[C.Key] = NewE;
 
-    if (E.Head == ActionNode::NoNode)
-      continue;
     Work.push_back({E.Head, ActionNode::NoNode, ActionNode::NoNode, -1});
     while (!Work.empty()) {
       WorkItem W = Work.back();
@@ -523,23 +494,6 @@ void ActionCache::adoptImage(FlatImage Img) {
   ++Epoch;
   DataPool = std::move(Img.Data);
   PendingXor = 0;
-  Tick = Img.Tick;
   Table.clear();
   growTable();
-}
-
-void ActionCache::evictSegmented() {
-  // Retain the most-recently-used half: entries whose LastUse is at or
-  // above the median tick.
-  std::vector<uint64_t> Uses;
-  Uses.reserve(Entries.size());
-  for (const CacheEntry &E : Entries)
-    Uses.push_back(E.LastUse);
-  std::nth_element(Uses.begin(), Uses.begin() + Uses.size() / 2, Uses.end());
-  uint64_t Threshold = Uses[Uses.size() / 2];
-
-  FlatImage Img = compactImage(Threshold, /*DropDetached=*/false);
-  S.EvictedEntries += Entries.size() - Img.Entries.size();
-  ++S.Evictions;
-  adoptImage(std::move(Img));
 }

@@ -22,10 +22,10 @@
 ///  - the *seal array*: one 64-bit integrity seal per node, computed for
 ///    free while recording (an xor accumulated as placeholder words are
 ///    pushed, mixed with the node's identity fields and a tag of the link
-///    it hangs from). Guarded replay re-derives the seal from what it
-///    actually read and walked; any flipped byte in a node, its data span
-///    or the links leading to it surfaces as a mismatch instead of a
-///    silently divergent step (see Simulation's CacheCorrupt fault).
+///    it hangs from). Replay re-derives the seal from what it actually
+///    read and walked; any flipped byte in a node, its data span or the
+///    links leading to it surfaces as a mismatch instead of a silently
+///    divergent step (see Simulation's CacheCorrupt fault).
 ///
 /// Every link is an *arena index*, never a pointer, which makes the whole
 /// cache relocatable: a sealed cache can be written out flat and mapped
@@ -37,14 +37,11 @@
 /// recording appends overlay nodes, and extending a base Test node's
 /// missing successor goes through a private edge-patch table consulted
 /// only on the replay miss path, so the hot replay loop stays flat.
-/// Eviction with a base attached degenerates to "reset to base" — the
-/// overlay is dropped, the mapping is untouched.
+/// Clearing with a base attached means "reset to base": the overlay is
+/// dropped, the mapping is untouched.
 ///
-/// Memory is budgeted, with the policy pluggable (EvictionPolicy):
-/// ClearAll is the paper's wholesale clear-on-full, which §6.1-§6.2 report
-/// costs little performance at 1/10 the footprint; Segmented drops the
-/// least-recently-used half of the entries and compacts the survivors into
-/// fresh arenas, trading eviction-time copying for retained hot state.
+/// Memory is budgeted with the paper's wholesale clear-on-full policy,
+/// which §6.1-§6.2 report costs little performance at 1/10 the footprint.
 /// The byte account is derived from the container sizes in one place
 /// (bytes()), and with a base attached counts only the private overlay,
 /// so overBudget() always reflects the real per-session footprint.
@@ -84,12 +81,6 @@ using EntryId = uint32_t;
 /// Sentinel for "no key" / "no entry".
 inline constexpr uint32_t NoId = ~0u;
 
-/// How the cache sheds weight when it exceeds its byte budget.
-enum class EvictionPolicy : uint8_t {
-  ClearAll,  ///< the paper's clear-on-full: drop everything
-  Segmented, ///< drop the least-recently-used half, compact the rest
-};
-
 /// One recorded action. Kind determines which link fields are meaningful.
 /// Links are node-arena indices; NextKey is an interned key id — the node
 /// carries no heap-allocated state.
@@ -119,10 +110,9 @@ static_assert(sizeof(ActionNode) == 32, "replay nodes must stay dense");
 struct CacheEntry {
   uint32_t Head = ActionNode::NoNode; ///< node-arena index of the first node
   KeyId Key = NoId;                   ///< the interned entry key
-  uint64_t LastUse = 0;               ///< recency tick for Segmented eviction
 };
 
-static_assert(sizeof(CacheEntry) == 16, "entries are stored flat on disk");
+static_assert(sizeof(CacheEntry) == 8, "entries are stored flat on disk");
 
 /// The key-indexed store of specialized actions.
 class ActionCache {
@@ -143,8 +133,8 @@ public:
   /// is a raw pointer + count rather than a container. The view must stay
   /// valid (and unmodified) for as long as it is attached; the cache never
   /// writes through it. Entries and KeyToEntry are *copied* at attach
-  /// (they carry mutable recency/detach state), so those two arrays are
-  /// read once; everything else is referenced in place.
+  /// (they carry mutable detach state), so those two arrays are read once;
+  /// everything else is referenced in place.
   struct BaseArenas {
     const ActionNode *Nodes = nullptr;
     uint32_t NumNodes = 0;
@@ -160,15 +150,13 @@ public:
     const CacheEntry *Entries = nullptr;
     uint32_t NumEntries = 0;
     const uint32_t *KeyToEntry = nullptr; ///< per key: entry or NoId
-    uint64_t Tick = 0;                 ///< recency clock at seal time
   };
 
-  /// A self-contained, owned flat image of a cache: the promotion /
-  /// compaction output format. Produced by compactImage() without
-  /// mutating the cache; consumed by Segmented eviction (adopted in
-  /// place) and by the store writer (written to disk verbatim).
+  /// A self-contained, owned flat image of a cache: the promotion output
+  /// format. Produced by compactImage() without mutating the cache and
+  /// written to disk verbatim by the store writer; a deserialized snapshot
+  /// is staged in one before it is adopted.
   struct FlatImage {
-    uint64_t Tick = 0;
     std::vector<char> KeyPool;
     std::vector<KeyRecord> Keys;
     std::vector<EntryId> KeyToEntry;
@@ -183,9 +171,7 @@ public:
     uint64_t Hits = 0;
     uint64_t EntriesCreated = 0;
     uint64_t KeysInterned = 0;
-    uint64_t Clears = 0;         ///< wholesale clears (ClearAll or fallback)
-    uint64_t Evictions = 0;      ///< Segmented compaction passes
-    uint64_t EvictedEntries = 0; ///< entries dropped by Segmented eviction
+    uint64_t Clears = 0; ///< wholesale clears (budget overflow or host)
     uint64_t PeakBytes = 0;
     uint64_t ProbeTotal = 0; ///< key-table probes beyond the home slot
     uint64_t ProbeMax = 0;   ///< longest probe sequence seen
@@ -196,16 +182,14 @@ public:
     void exportMetrics(telemetry::MetricSink &Sink) const;
   };
 
-  explicit ActionCache(size_t BudgetBytes,
-                       EvictionPolicy Policy = EvictionPolicy::ClearAll)
-      : Budget(BudgetBytes), Policy(Policy) {}
+  explicit ActionCache(size_t BudgetBytes) : Budget(BudgetBytes) {}
 
   //===-- Base layer ---------------------------------------------------------
 
   /// Attaches \p B as the immutable base layer. The cache must be empty
   /// (freshly constructed or detachBase()'d); returns false otherwise.
   /// Base entries and the key→entry map are copied into private storage
-  /// (their recency and detach state are per-session); every other arena
+  /// (their detach state is per-session); every other arena
   /// is referenced in place, so N caches over one mapping share it.
   bool attachBase(const BaseArenas &B);
 
@@ -260,14 +244,13 @@ public:
   //===-- Entries ----------------------------------------------------------
 
   /// Finds the entry for key \p K, counting a lookup (and a hit on
-  /// success) and refreshing the entry's recency. Returns NoId on miss.
+  /// success). Returns NoId on miss.
   EntryId lookup(KeyId K) {
     ++S.Lookups;
     EntryId E = KeyToEntry[K];
     if (E == NoId)
       return NoId;
     ++S.Hits;
-    Entries[E].LastUse = ++Tick;
     return E;
   }
 
@@ -276,7 +259,7 @@ public:
   EntryId create(KeyId K);
 
   /// Unmaps entry \p E from its key and drops its head, making its node
-  /// graph unreachable (the arena space is reclaimed at the next eviction).
+  /// graph unreachable (the arena space is reclaimed at the next clear).
   /// Used when recording was abandoned mid-step or replay found the
   /// entry's recording corrupt: the next lookup of the key misses and
   /// re-records cold. Entries are private even over a base, so this works
@@ -467,8 +450,7 @@ public:
   // cheap once, expensive every replay (bulk Sync spans dominate). The
   // guarded replay therefore verifies each overlay node once per
   // *mutation epoch*: a counter bumped by every channel that can corrupt
-  // the arenas (eviction compaction, snapshot loads, the mutable
-  // injection accessors). A verified mark is bound to the incoming link
+  // the arenas (clears, snapshot loads, the mutable injection accessors). A verified mark is bound to the incoming link
   // tag, so arriving at a node through a flipped-but-in-bounds edge never
   // matches a stale mark and forces full re-verification. Structural
   // bounds checks still run on every replay; only the data sweep is
@@ -503,12 +485,12 @@ public:
       VerifyMark[I - Base.NumNodes] = IncomingTag ^ epochMix();
   }
 
-  //===-- Budget and eviction ------------------------------------------------
+  //===-- Budget -------------------------------------------------------------
 
   /// The real private footprint, derived from the backing containers in
   /// one place: key pool and table, entry vector, node arena, data pool
   /// and the edge-patch table. The attached base (shared, read-only) is
-  /// deliberately excluded — budgeting evicts what this session owns.
+  /// deliberately excluded — budgeting clears what this session owns.
   size_t bytes() const {
     return KeyPool.size() + Keys.size() * sizeof(KeyRecord) +
            KeyToEntry.size() * sizeof(EntryId) +
@@ -520,35 +502,27 @@ public:
            Patches.size() * (sizeof(uint64_t) + sizeof(uint32_t) + 12);
   }
 
-  /// True when the budget is exhausted; the owner should evict().
+  /// True when the budget is exhausted; the owner should clear().
   bool overBudget() const { return bytes() > Budget; }
 
-  /// Sheds weight per the configured policy. Any outstanding EntryIds,
-  /// KeyIds and node indices become invalid. With a base attached, both
-  /// policies reset to the base image (the mapping cannot be compacted).
-  void evict();
-
   /// Drops every entry, key and node (the paper's clear-on-full policy).
+  /// Any outstanding EntryIds, KeyIds and node indices become invalid.
   /// With a base attached this resets to the base image instead: the
   /// overlay is dropped and the entry table re-seeded from the store.
   void clear();
 
   size_t entryCount() const { return Entries.size(); }
-  EvictionPolicy policy() const { return Policy; }
   const Stats &stats() const { return S; }
 
   //===-- Compaction ----------------------------------------------------------
 
-  /// Copies the live portion of the cache — every entry whose LastUse is
-  /// at or above \p KeepThreshold, with base and overlay merged and edge
-  /// patches applied — into a fresh, self-contained flat image, without
-  /// mutating this cache. Node and key ids are renumbered densely and the
-  /// integrity seals re-homed onto the new link tags (PR 4 rules), so the
-  /// image validates stand-alone. \p DropDetached additionally skips
-  /// entries whose recording was detached (Head == NoNode) — store
-  /// promotion wants no tombstones; Segmented eviction keeps them to
-  /// preserve its historical accounting.
-  FlatImage compactImage(uint64_t KeepThreshold, bool DropDetached) const;
+  /// Copies every live entry (detached recordings are skipped), with base
+  /// and overlay merged and edge patches applied, into a fresh,
+  /// self-contained flat image without mutating this cache. Node and key
+  /// ids are renumbered densely and the integrity seals re-homed onto the
+  /// new link tags, so the image validates stand-alone: the store
+  /// promotion format.
+  FlatImage compactImage() const;
 
   /// Builds the open-addressed probe table (power-of-two, load < 2/3) for
   /// \p Keys exactly as the incremental grower does — the store writer
@@ -569,7 +543,7 @@ public:
   //===-- Persistence --------------------------------------------------------
 
   /// Writes the whole cache — key pool, key records, entry list, node
-  /// arena, data pool and the recency clock — flat into \p W. The probe
+  /// arena and data pool — flat into \p W. The probe
   /// table is not written; it is rebuilt deterministically on load. With a
   /// base attached the base and overlay are written merged (patches
   /// applied, global ids preserved), so a snapshot of a store-backed
@@ -596,15 +570,12 @@ private:
   }
 
   void growTable();
-  void evictSegmented();
   /// Installs \p Img as this cache's (owned) contents. Drops any base.
   void adoptImage(FlatImage Img);
   /// Drops the overlay and re-seeds entries/key→entry from the base.
   void resetToBase();
 
   size_t Budget;
-  EvictionPolicy Policy;
-  uint64_t Tick = 0;
 
   // The immutable base layer (all-zero when detached, so every threshold
   // compare degenerates to the plain owned-cache path).
@@ -625,7 +596,7 @@ private:
 
   std::vector<uint64_t> NodeSeal; ///< parallel to NodeArena
   // Verification scratch (not part of bytes(): a guard overlay, not cache
-  // content — including it would shift eviction behaviour with guards on).
+  // content, so it does not count against the budget).
   std::vector<uint64_t> VerifyMark; ///< tag ^ epochMix() when verified
   std::vector<uint8_t> BaseVerified; ///< per base node: seal checked once
   uint64_t Epoch = 1;               ///< current mutation epoch

@@ -332,18 +332,16 @@ void JitBackend::compileTrace(EntryId Entry, uint64_t Epoch) {
     const uint64_t Lo = N.DataOfs, Hi = Lo + N.DataLen;
     if (Hi > PoolSize || (Lo < BaseD && Hi > BaseD))
       return Traces.noCompile(Entry);
-    if (Sim.Opts.Guards) {
-      // The guarded interpreter's seal check, unconditionally (marks are
-      // an optimization for the per-step loop; compilation is rare). A
-      // mismatch is left for the interpreter to detect or absorb.
-      const int64_t *Span = C.spanData(N.DataOfs);
-      uint64_t Xor = 0;
-      for (uint32_t Wd = 0; Wd != N.DataLen; ++Wd)
-        Xor ^= static_cast<uint64_t>(Span[Wd]);
-      if ((Xor ^ ActionCache::identityMix(N) ^ W.Tag) != C.nodeSeal(W.Node))
-        return Traces.noCompile(Entry);
-      Sim.Cache.markVerified(W.Node, W.Tag);
-    }
+    // The interpreter's seal check, unconditionally (marks are an
+    // optimization for the per-step loop; compilation is rare). A mismatch
+    // is left for the interpreter to detect or absorb.
+    const int64_t *Span = C.spanData(N.DataOfs);
+    uint64_t Xor = 0;
+    for (uint32_t Wd = 0; Wd != N.DataLen; ++Wd)
+      Xor ^= static_cast<uint64_t>(Span[Wd]);
+    if ((Xor ^ ActionCache::identityMix(N) ^ W.Tag) != C.nodeSeal(W.Node))
+      return Traces.noCompile(Entry);
+    Sim.Cache.markVerified(W.Node, W.Tag);
     const uint32_t Di = static_cast<uint32_t>(Descs.size());
     if (W.ParentDesc != jit::TraceNoSucc)
       Descs[W.ParentDesc].Succ[W.Slot] = Di;
@@ -379,8 +377,7 @@ void JitBackend::compileTrace(EntryId Entry, uint64_t Epoch) {
 
   std::vector<uint8_t> Code;
   std::vector<jit::TraceExitDesc> ExitDescs;
-  if (!jit::emitTrace(Session.Cache->ctx(), Descs, Sim.Opts.Guards, Code,
-                      ExitDescs))
+  if (!jit::emitTrace(Session.Cache->ctx(), Descs, Code, ExitDescs))
     return Traces.noCompile(Entry);
 
   jit::JitTraceCache::Trace T;

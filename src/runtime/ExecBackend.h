@@ -20,8 +20,8 @@
 ///    structural precheck falling back to the interpreter per node and
 ///    bail codes mapping onto the same faults the interpreter raises.
 ///
-/// Both backends record and replay bit-identically — BackendKind, like
-/// Options::Guards, never enters compatKey().
+/// Both backends record and replay bit-identically — BackendKind never
+/// enters compatKey().
 ///
 /// The three on*() hooks are the invalidation contract (INTERNALS.md "JIT
 /// backend"): compiled code bakes plan and image constants plus raw state

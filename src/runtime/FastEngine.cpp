@@ -16,16 +16,14 @@
 // folds to the overlay side). Successors recorded for base Test nodes
 // live in a private patch table consulted only on the would-be miss path.
 //
-// The loop is compiled twice from one template. The unguarded instance is
-// the trusting hot loop of the paper. The guarded instance (the default;
-// Options::Guards) verifies each node BEFORE executing it: bounds-checks
-// the link, action id, kind byte and data span against the arenas, then
-// recomputes the node's integrity seal — xor of its placeholder span,
-// folded with its identity fields and the link it was reached through —
-// and compares it to the sealed value. Verification up front keeps the
-// execution path identical to the unguarded loop (the span sweep is a
-// tight xor loop over words the execution is about to read anyway), so
-// the guarded overhead is per-node, not per-instruction.
+// The loop verifies each node BEFORE executing it: bounds-checks the link,
+// action id, kind byte and data span against the arenas, then recomputes
+// the node's integrity seal — xor of its placeholder span, folded with its
+// identity fields and the link it was reached through — and compares it to
+// the sealed value. Verification up front keeps the execution path as
+// tight as the paper's trusting loop (the span sweep is a tight xor loop
+// over words the execution is about to read anyway, and runs once per
+// mutation epoch), so the guard cost is per-node, not per-instruction.
 //
 // Corruption detected before any node executed is absorbed: the entry is
 // detached and the step re-records cold. Corruption detected after a node
@@ -48,7 +46,7 @@ using namespace facile;
 using namespace facile::rt;
 using namespace facile::ir;
 
-template <bool Guarded, bool Profiled>
+template <bool Profiled>
 Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
   const ExecPlan &P = *Plan;
   ReplayedStep Rp;
@@ -70,7 +68,7 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
   const uint64_t PoolSize = Cache.dataSize();
 
   uint32_t NodeIdx = Cache.entry(Entry).Head;
-  uint64_t IncomingTag = Guarded ? ActionCache::headTag(Key) : 0;
+  uint64_t IncomingTag = ActionCache::headTag(Key);
   bool ExecutedAny = false;
   bool AnyNative = false; ///< >=1 node ran as compiled code this step
   uint32_t Walked = 0;
@@ -91,15 +89,15 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
     return ReplayResult::Faulted;
   };
 
-  if (Guarded && NodeIdx == ActionNode::NoNode)
+  if (NodeIdx == ActionNode::NoNode)
     return ReplayResult::CorruptCold;
 
   // Trace dispatch: when the whole entry is compiled, the step is one
   // native call. Valid only while the cache's mutation epoch matches the
   // trace's compile epoch — any injected corruption bumps the epoch, so a
-  // trace never runs over state the guarded interpreter would have
-  // re-verified (compilation itself verified every seal it baked).
-  // Profiled steps stay interpreted so sampling still sees nodes.
+  // trace never runs over state the interpreter would have re-verified
+  // (compilation itself verified every seal it baked). Profiled steps stay
+  // interpreted so sampling still sees nodes.
   if (!Profiled && Jit && Jit->Traces) {
     if (jit::JitTraceCache::Trace *T =
             Jit->Traces->find(Entry, Cache.mutationEpoch())) {
@@ -144,56 +142,47 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
       // Stale trace: the successor was recorded after compilation. Resume
       // the interpreted walk mid-chain and queue a recompile.
       Jit->Traces->invalidate(Entry);
-      if (Guarded)
-        IncomingTag = ActionCache::edgeTag(X.Node, static_cast<int>(X.Value));
+      IncomingTag = ActionCache::edgeTag(X.Node, static_cast<int>(X.Value));
       NodeIdx = Succ;
     }
   }
 
   for (;;) {
-    if (Guarded) {
-      // Verify before executing: every field the execution below trusts is
-      // checked here, so the hot path stays branch-for-branch identical to
-      // the unguarded loop.
-      if (NodeIdx >= NumNodes)
-        return corrupt("node link outside the arena");
-      if (++Walked > NumNodes)
-        return corrupt("replay chain does not terminate");
-      const ActionNode &C =
-          NodeIdx < BaseN ? BNodes[NodeIdx] : ONodes[NodeIdx - BaseN];
-      if (static_cast<uint32_t>(C.ActionId) >= NumActions)
-        return corrupt("node action id outside the plan");
-      if (static_cast<uint8_t>(C.K) >
-          static_cast<uint8_t>(ActionNode::Kind::End))
-        return corrupt("illegal node kind");
-      const uint64_t Lo = C.DataOfs;
-      const uint64_t Hi = Lo + C.DataLen;
-      // Spans never straddle the base/overlay boundary: overlay nodes
-      // allocate at the global end, and store validation pins base spans
-      // below the base extent. A straddling span is corruption.
-      if (Hi > PoolSize || (Lo < BaseD && Hi > BaseD))
-        return corrupt("node data span outside the pool");
-      // The expensive part — xoring the whole placeholder span — runs once
-      // per mutation epoch per (node, incoming link); arriving through a
-      // flipped edge never matches the mark and forces the full sweep.
-      if (!Cache.nodeVerified(NodeIdx, IncomingTag)) {
-        const int64_t *Span =
-            Lo < BaseD ? BData + Lo : OData + (Lo - BaseD);
-        uint64_t Xor = 0;
-        for (uint32_t W = 0; W != C.DataLen; ++W)
-          Xor ^= static_cast<uint64_t>(Span[W]);
-        if ((Xor ^ ActionCache::identityMix(C) ^ IncomingTag) !=
-            Cache.nodeSeal(NodeIdx))
-          return corrupt("node integrity seal mismatch");
-        Cache.markVerified(NodeIdx, IncomingTag);
-      }
-    }
+    // Verify before executing: every field the execution below trusts is
+    // checked here, so the execution itself needs no per-instruction check.
+    if (NodeIdx >= NumNodes)
+      return corrupt("node link outside the arena");
+    if (++Walked > NumNodes)
+      return corrupt("replay chain does not terminate");
     const ActionNode &N =
         NodeIdx < BaseN ? BNodes[NodeIdx] : ONodes[NodeIdx - BaseN];
+    if (static_cast<uint32_t>(N.ActionId) >= NumActions)
+      return corrupt("node action id outside the plan");
+    if (static_cast<uint8_t>(N.K) >
+        static_cast<uint8_t>(ActionNode::Kind::End))
+      return corrupt("illegal node kind");
+    const uint64_t Lo = N.DataOfs;
+    const uint64_t Hi = Lo + N.DataLen;
+    // Spans never straddle the base/overlay boundary: overlay nodes
+    // allocate at the global end, and store validation pins base spans
+    // below the base extent. A straddling span is corruption.
+    if (Hi > PoolSize || (Lo < BaseD && Hi > BaseD))
+      return corrupt("node data span outside the pool");
     // One span-base resolution per node; the instruction loop below runs
-    // relative to it, exactly as it used to run relative to the pool base.
-    const int64_t *Span =
-        N.DataOfs < BaseD ? BData + N.DataOfs : OData + (N.DataOfs - BaseD);
+    // relative to it.
+    const int64_t *Span = Lo < BaseD ? BData + Lo : OData + (Lo - BaseD);
+    // The expensive part — xoring the whole placeholder span — runs once
+    // per mutation epoch per (node, incoming link); arriving through a
+    // flipped edge never matches the mark and forces the full sweep.
+    if (!Cache.nodeVerified(NodeIdx, IncomingTag)) {
+      uint64_t Xor = 0;
+      for (uint32_t W = 0; W != N.DataLen; ++W)
+        Xor ^= static_cast<uint64_t>(Span[W]);
+      if ((Xor ^ ActionCache::identityMix(N) ^ IncomingTag) !=
+          Cache.nodeSeal(NodeIdx))
+        return corrupt("node integrity seal mismatch");
+      Cache.markVerified(NodeIdx, IncomingTag);
+    }
     size_t DataPos = 0;
 
     int64_t TestValue = 0;
@@ -216,7 +205,7 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
     bool Native = false;
     if (Jit && IP != End) {
       const uint32_t Action = static_cast<uint32_t>(N.ActionId);
-      if (jit::JitFn Fn = Jit->Cache->fn(Action, Guarded)) {
+      if (jit::JitFn Fn = Jit->Cache->fn(Action)) {
         if (N.DataLen == Jit->Cache->words(Action)) {
           int64_t R = Fn(&Jit->Frame, Span);
           if (R < 0) {
@@ -296,7 +285,7 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
         break;
       case XOp::Fetch: {
         uint32_t Addr = static_cast<uint32_t>(readOperand(I.A, 0));
-        if (Guarded && (Addr < Image.TextBase || Addr >= Image.textEnd())) {
+        if (Addr < Image.TextBase || Addr >= Image.textEnd()) {
           raiseFault(FaultKind::DecodeError,
                      "instruction fetch outside the text segment");
           return ReplayResult::Faulted;
@@ -305,9 +294,8 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
         break;
       }
       case XOp::CallExtern: {
-        if (Guarded &&
-            (I.ArgCount > 16 ||
-             static_cast<uint64_t>(I.ArgOfs) + I.ArgCount > P.ArgPool.size())) {
+        if (I.ArgCount > 16 ||
+            static_cast<uint64_t>(I.ArgOfs) + I.ArgCount > P.ArgPool.size()) {
           raiseFault(FaultKind::PlanCorrupt,
                      "extern argument span outside the plan's arg pool");
           return ReplayResult::Faulted;
@@ -388,12 +376,8 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
     // leftover here means the plan and the record disagree on how many
     // placeholders this action reads (a mutated plan the shape check
     // cannot frame).
-    if (Guarded) {
-      if (DataPos != static_cast<size_t>(N.DataLen))
-        return corrupt("placeholder stream desynced from the plan");
-    } else {
-      assert(DataPos == N.DataLen && "placeholder stream desynced");
-    }
+    if (DataPos != static_cast<size_t>(N.DataLen))
+      return corrupt("placeholder stream desynced from the plan");
 
     switch (N.K) {
     case ActionNode::Kind::End:
@@ -405,13 +389,9 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
       return ReplayResult::Replayed;
     case ActionNode::Kind::Plain:
       Rp.Path.push_back({NodeIdx, 0});
-      if (Guarded) {
-        if (N.Next == ActionNode::NoNode)
-          return corrupt("plain node without a successor");
-        IncomingTag = ActionCache::edgeTag(NodeIdx, -1);
-      } else {
-        assert(N.Next != ActionNode::NoNode && "complete entries are linked");
-      }
+      if (N.Next == ActionNode::NoNode)
+        return corrupt("plain node without a successor");
+      IncomingTag = ActionCache::edgeTag(NodeIdx, -1);
       NodeIdx = N.Next;
       break;
     case ActionNode::Kind::Test: {
@@ -434,9 +414,7 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
         return Fault ? ReplayResult::Faulted : ReplayResult::Recovered;
       }
       Rp.Path.push_back({NodeIdx, TestValue});
-      if (Guarded)
-        IncomingTag =
-            ActionCache::edgeTag(NodeIdx, static_cast<int>(TestValue));
+      IncomingTag = ActionCache::edgeTag(NodeIdx, static_cast<int>(TestValue));
       NodeIdx = Succ;
       break;
     }
@@ -445,13 +423,8 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
 }
 
 Simulation::ReplayResult Simulation::runFast(EntryId Entry, KeyId Key) {
-  // Four instantiations of one loop: guards and profiling are both
-  // compile-time branches, so the common <true, false> / <false, false>
-  // paths carry zero profiler cost and the unguarded unprofiled loop is
-  // byte-for-byte the paper's trusting replay.
-  if (ProfArmed)
-    return Opts.Guards ? runFastImpl<true, true>(Entry, Key)
-                       : runFastImpl<false, true>(Entry, Key);
-  return Opts.Guards ? runFastImpl<true, false>(Entry, Key)
-                     : runFastImpl<false, false>(Entry, Key);
+  // Two instantiations of one loop: profiling is a compile-time branch, so
+  // the unprofiled loop carries zero profiler cost.
+  return ProfArmed ? runFastImpl<true>(Entry, Key)
+                   : runFastImpl<false>(Entry, Key);
 }

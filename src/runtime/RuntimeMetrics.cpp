@@ -40,7 +40,6 @@ void Simulation::registerMetrics(telemetry::MetricsRegistry &R) const {
     Sink.text("detail", Fault.Detail);
   });
   R.add("guard", [this](telemetry::MetricSink &Sink) {
-    Sink.flag("enabled", Opts.Guards);
     Sink.counter("faults", S.Faults);
     Sink.counter("corrupt_dropped", S.CorruptDropped);
   });
@@ -61,8 +60,6 @@ void ActionCache::Stats::exportMetrics(telemetry::MetricSink &Sink) const {
   Sink.counter("entries_created", EntriesCreated);
   Sink.counter("keys_interned", KeysInterned);
   Sink.counter("clears", Clears);
-  Sink.counter("evictions", Evictions);
-  Sink.counter("evicted_entries", EvictedEntries);
   Sink.counter("probe_total", ProbeTotal);
   Sink.counter("probe_max", ProbeMax);
 }

@@ -34,6 +34,15 @@ namespace {
   std::abort();
 }
 
+/// Adaptive-bypass tuning (Options::AdaptiveBypass). Percentages are of
+/// the window's memoized steps that were not fully replayed.
+namespace bypass {
+constexpr uint64_t WindowSteps = 1024;  ///< steps per observation window
+constexpr uint64_t TripPct = 75;        ///< trip at or above this
+constexpr uint64_t HealthyPct = 25;     ///< reset escalation at or below this
+constexpr uint64_t CooldownSteps = 4096; ///< base bypassed steps per trip
+} // namespace bypass
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -44,13 +53,13 @@ Simulation::Simulation(const CompiledProgram &Prog,
                        const isa::TargetImage &Image, Options Opts)
     : Prog(Prog), Image(Image), Opts(Opts),
       OwnedPlan(std::make_unique<ExecPlan>(buildExecPlan(Prog))),
-      Plan(OwnedPlan.get()), Cache(Opts.CacheBudgetBytes, Opts.Eviction) {
+      Plan(OwnedPlan.get()), Cache(Opts.CacheBudgetBytes) {
   initState();
 }
 
 Simulation::Simulation(const SharedProgram &Shared, Options Opts)
     : Prog(Shared.program()), Image(Shared.image()), Opts(Opts),
-      Plan(&Shared.plan()), Cache(Opts.CacheBudgetBytes, Opts.Eviction) {
+      Plan(&Shared.plan()), Cache(Opts.CacheBudgetBytes) {
   SharedProg = &Shared; // before initState: the backend factory reads it
   initState();
 }
@@ -328,11 +337,10 @@ uint64_t Simulation::compatKey() const {
   uint64_t H = FNVOffset;
   H = hashCombine(H, isa::IsaRevision);
 
-  // Options: a cache persisted under one budget/policy is not replayable
+  // Options: a cache persisted under one budget is not replayable
   // bookkeeping-identically under another.
   H = hashCombine(H, Opts.Memoize ? 1 : 0);
   H = hashCombine(H, Opts.CacheBudgetBytes);
-  H = hashCombine(H, static_cast<uint64_t>(Opts.Eviction));
 
   // The compiled program, via its packed execution form: action ids,
   // placeholder layout and key layout are all derived from it.
@@ -486,7 +494,7 @@ bool Simulation::deserializeState(snapshot::Reader &R) {
   BypassActive = false;
   BypassTrips = 0;
   WinSteps = WinNonFast = 0;
-  WinEvictBase = Cache.stats().Clears + Cache.stats().Evictions;
+  WinClearBase = Cache.stats().Clears;
   // The move-assignments above relocated every dynamic-state vector; a
   // backend holding raw data pointers must re-snapshot them.
   Backend->onStateReplaced();
@@ -555,7 +563,7 @@ void Simulation::evictCacheNow() {
     flushTraceSpan();
     Tracer->instant("cache", "evict", "bytes", Cache.bytes());
   }
-  Cache.evict();
+  Cache.clear();
   PendingEndNode = ActionNode::NoNode;
   Backend->onCacheRebuilt();
 }
@@ -567,7 +575,7 @@ void Simulation::evictCacheNow() {
 StepEngine Simulation::step() {
   if (Fault)
     return StepEngine::Faulted; // frozen until clearFault()
-  if (Opts.Guards && !Plan->shapeOk()) {
+  if (!Plan->shapeOk()) {
     raiseFault(FaultKind::PlanCorrupt,
                "execution plan streams are truncated or misframed");
     return StepEngine::Faulted;
@@ -604,7 +612,7 @@ StepEngine Simulation::step() {
     }
     BypassActive = false; // cooldown over: observe a fresh window
     WinSteps = WinNonFast = 0;
-    WinEvictBase = Cache.stats().Clears + Cache.stats().Evictions;
+    WinClearBase = Cache.stats().Clears;
   }
 
   ProfArmed = Profiler && Profiler->armStep();
@@ -664,12 +672,12 @@ StepEngine Simulation::step() {
       flushTraceSpan();
       Tracer->instant("cache", "evict", "bytes", Cache.bytes());
     }
-    Cache.evict();
+    Cache.clear();
     PendingEndNode = ActionNode::NoNode;
     Backend->onCacheRebuilt();
   }
   if (Opts.AdaptiveBypass)
-    noteBypassWindow(Engine);
+    noteWindowForBypass(Engine);
   return finishStep(Engine);
 }
 
@@ -740,22 +748,22 @@ void Simulation::flushTraceSpan() {
   OpenSteps = 0;
 }
 
-void Simulation::noteBypassWindow(StepEngine Engine) {
+void Simulation::noteWindowForBypass(StepEngine Engine) {
   ++WinSteps;
   if (Engine != StepEngine::Fast)
     ++WinNonFast;
-  if (WinSteps < Opts.BypassWindow)
+  if (WinSteps < bypass::WindowSteps)
     return;
-  uint64_t EvictNow = Cache.stats().Clears + Cache.stats().Evictions;
+  uint64_t ClearsNow = Cache.stats().Clears;
   // Trip only on the thrashing signature: the window was dominated by
-  // non-replayed steps *and* the cache shed weight inside it. The second
-  // condition keeps cold warm-up (100% slow, no evictions) from tripping.
-  if (EvictNow > WinEvictBase &&
-      WinNonFast * 100 >= WinSteps * Opts.BypassTripPct) {
+  // non-replayed steps *and* the cache was cleared inside it. The second
+  // condition keeps cold warm-up (100% slow, no clears) from tripping.
+  if (ClearsNow > WinClearBase &&
+      WinNonFast * 100 >= WinSteps * bypass::TripPct) {
     BypassActive = true;
     ++S.BypassActivations;
     BypassUntil =
-        S.Steps + (Opts.BypassCooldown << std::min<uint32_t>(BypassTrips, 6));
+        S.Steps + (bypass::CooldownSteps << std::min<uint32_t>(BypassTrips, 6));
     if (Tracer) {
       flushTraceSpan();
       Tracer->instant("bypass", "trip", "cooldown_steps",
@@ -764,11 +772,11 @@ void Simulation::noteBypassWindow(StepEngine Engine) {
     if (BypassTrips < 31)
       ++BypassTrips;
     PendingEndNode = ActionNode::NoNode;
-  } else if (WinNonFast * 100 <= WinSteps * Opts.BypassHealthyPct) {
+  } else if (WinNonFast * 100 <= WinSteps * bypass::HealthyPct) {
     BypassTrips = 0; // hysteresis: a healthy window forgives past trips
   }
   WinSteps = WinNonFast = 0;
-  WinEvictBase = EvictNow;
+  WinClearBase = ClearsNow;
 }
 
 RunResult Simulation::run(uint64_t MaxSteps) {

@@ -58,9 +58,9 @@ namespace rt {
 
 class ExecBackend;
 
-/// Which execution backend a Simulation uses (ExecBackend.h). Like
-/// Options::Guards this is an execution strategy, not a semantic choice:
-/// both backends step bit-identically and it never enters compatKey().
+/// Which execution backend a Simulation uses (ExecBackend.h). This is an
+/// execution strategy, not a semantic choice: both backends step
+/// bit-identically and it never enters compatKey().
 enum class BackendKind : uint8_t {
   Auto,      ///< Jit where the template JIT is available, else Interpret
   Interpret, ///< the template-specialized interpreter loops only
@@ -93,18 +93,10 @@ public:
   struct Options {
     bool Memoize = true; ///< false: slow simulator only, no cache (baseline)
     size_t CacheBudgetBytes = 256u << 20; ///< paper §6.2's 256 MB default
-    /// What happens when the cache exceeds its budget. ClearAll is the
-    /// paper's policy; Segmented keeps the hot half of the entries.
-    EvictionPolicy Eviction = EvictionPolicy::ClearAll;
 
-    // Guarded execution (none of these affect compatKey(): they change
-    // how defensively the engines run, not what they record).
+    // Resource guards (neither affects compatKey(): they bound how long
+    // and how large a run may grow, not what the engines record).
 
-    /// Integrity guards on the replay path: bounds-check node links, data
-    /// spans and opcode legality, and verify each node's seal while
-    /// walking a (possibly loaded-from-disk) cache. Off is only for
-    /// benchmarking trusted in-process caches.
-    bool Guards = true;
     /// Step watchdog: fault with StepLimit once lifetime Steps reaches
     /// this. 0 = unlimited. Resumable: clearFault() + a higher limit.
     uint64_t StepLimit = 0;
@@ -112,16 +104,12 @@ public:
     size_t MemPageBudget = 0;
 
     /// Adaptive memoization bypass: when a sliding window of steps shows
-    /// the cache thrashing (mostly non-fast steps *and* at least one
-    /// eviction inside the window), stop recording/replaying for a
-    /// cooldown period and run the slow simulator unrecorded. Repeated
-    /// trips double the cooldown (capped); a healthy window resets the
-    /// escalation.
+    /// the cache thrashing (mostly non-fast steps *and* at least one clear
+    /// inside the window), stop recording/replaying for a cooldown period
+    /// and run the slow simulator unrecorded. Repeated trips double the
+    /// cooldown (capped); a healthy window resets the escalation. The
+    /// window, thresholds and cooldown are constants in Simulation.cpp.
     bool AdaptiveBypass = true;
-    uint32_t BypassWindow = 1024;     ///< steps per observation window
-    uint32_t BypassTripPct = 75;      ///< trip: non-fast % at or above this
-    uint32_t BypassHealthyPct = 25;   ///< reset escalation at or below this
-    uint64_t BypassCooldown = 4096;   ///< base bypassed steps per trip
 
     /// Execution backend (ExecBackend.h). Auto resolves to Jit on hosts
     /// where the template JIT runs (x86-64 with mmap; the FACILE_JIT
@@ -219,7 +207,7 @@ public:
 
   bool halted() const { return HaltFlag; }
 
-  //===-- Guarded execution --------------------------------------------------
+  //===-- Faults and resource guards -----------------------------------------
 
   bool faulted() const { return static_cast<bool>(Fault); }
   const SimFault &fault() const { return Fault; }
@@ -259,9 +247,9 @@ public:
   /// microseconds of work.
   static constexpr uint64_t DeadlineCheckPeriod = 64;
 
-  /// Out-of-band cache eviction preserving the engine invariants: flushes
-  /// the open trace span, runs the configured eviction policy (resetting a
-  /// store-backed cache to its read-only base) and resets the INDEX chain.
+  /// Out-of-band cache clear preserving the engine invariants: flushes the
+  /// open trace span, clears the cache (resetting a store-backed cache to
+  /// its read-only base) and resets the INDEX chain.
   /// For host-side resource control (e.g. a daemon bounding aggregate
   /// overlay growth); a no-op on an empty cache.
   void evictCacheNow();
@@ -399,11 +387,10 @@ private:
 
   /// The slow / complete simulator: record and recovery (SlowEngine.cpp).
   void runSlow(EntryId Rec, const ReplayedStep *Recovery);
-  /// The fast / residual simulator: replay (FastEngine.cpp). Guarded is
-  /// Options::Guards and Profiled is this step's sampling decision, both
-  /// lifted to compile-time branches so the unguarded unprofiled replay
-  /// loop stays exactly as tight as before.
-  template <bool Guarded, bool Profiled>
+  /// The fast / residual simulator: replay (FastEngine.cpp). Profiled is
+  /// this step's sampling decision, lifted to a compile-time branch so the
+  /// unprofiled replay loop carries no profiler cost.
+  template <bool Profiled>
   ReplayResult runFastImpl(EntryId Entry, KeyId Key);
   ReplayResult runFast(EntryId Entry, KeyId Key);
   void serializeKeyInto(std::string &Out) const;
@@ -414,7 +401,7 @@ private:
   /// returned nullopt); \p Out is untouched then.
   bool externCall(const XInst &I, const int64_t *Args, int64_t &Out);
   /// Per-window bypass accounting, called once per memoized step.
-  void noteBypassWindow(StepEngine Engine);
+  void noteWindowForBypass(StepEngine Engine);
   /// Merges this step into the open trace span (Tracer is non-null).
   void noteStepForTrace(StepEngine Engine);
   /// Post-step resource-guard check; may turn \p Engine into Faulted.
@@ -490,7 +477,7 @@ private:
   uint32_t BypassTrips = 0;   ///< consecutive trips (cooldown escalation)
   uint64_t WinSteps = 0;      ///< memoized steps in the current window
   uint64_t WinNonFast = 0;    ///< of those, not fully replayed
-  uint64_t WinEvictBase = 0;  ///< cache clears+evictions at window start
+  uint64_t WinClearBase = 0;  ///< cache clears at window start
 
   /// INDEX chaining (paper Figure 9): the End node reached by the previous
   /// step. When its recorded NextKey's bytes match the current init

@@ -33,7 +33,6 @@ using namespace facile::ir;
 void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
   const ExecPlan &P = *Plan;
   const bool Record = Rec != NoId;
-  const bool Guards = Opts.Guards;
   const size_t NBlocks =
       std::min(P.BlockOfs.size() - 1, Prog.Actions.Blocks.size());
   bool Recovering = Recovery != nullptr;
@@ -120,7 +119,7 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
 
     // Execute the block body (everything but the terminator). When the
     // session's JIT is armed and the plan's cache has this body compiled
-    // for the current (guard, recording) shape, it runs natively: the
+    // for the current recording shape, it runs natively: the
     // recording variant captures every placeholder word to a scratch
     // buffer that is flushed through the cache afterwards, so data-pool
     // contents, seal accumulation and peak accounting stay bit-identical
@@ -132,10 +131,10 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
     if (jit::JitSession *const Jit = JitCtx; Jit && !Recovering && IP != Term) {
       jit::JitCache &JC = *Jit->Cache;
       const bool Capturing = NodeIdx != ActionNode::NoNode;
-      jit::JitFn Fn = JC.blockFn(BB, Guards, Capturing);
+      jit::JitFn Fn = JC.blockFn(BB, Capturing);
       if (!Fn) {
         JC.noteBlockVisit(BB, Jit->Threshold);
-        Fn = JC.blockFn(BB, Guards, Capturing);
+        Fn = JC.blockFn(BB, Capturing);
       }
       if (Fn) {
         if (Capturing) {
@@ -212,7 +211,7 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
           break;
         case XOp::Fetch: {
           uint32_t Addr = static_cast<uint32_t>(StatSlots[I.A]);
-          if (Guards && (Addr < Image.TextBase || Addr >= Image.textEnd()))
+          if (Addr < Image.TextBase || Addr >= Image.textEnd())
             return fail(FaultKind::DecodeError,
                         "instruction fetch outside the text segment");
           StatSlots[I.Dst] = Image.fetch(Addr);
@@ -308,7 +307,7 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
       }
       case XOp::Fetch: {
         uint32_t Addr = static_cast<uint32_t>(readOperand(I.A, 0));
-        if (Guards && (Addr < Image.TextBase || Addr >= Image.textEnd()))
+        if (Addr < Image.TextBase || Addr >= Image.textEnd())
           return fail(FaultKind::DecodeError,
                       "instruction fetch outside the text segment");
         DynSlots[I.Dst] = Image.fetch(Addr);
@@ -317,8 +316,7 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
       case XOp::CallExtern: {
         if (I.ArgCount > 16)
           return fail(FaultKind::PlanCorrupt, "extern arity limit exceeded");
-        if (Guards &&
-            static_cast<uint64_t>(I.ArgOfs) + I.ArgCount > P.ArgPool.size())
+        if (static_cast<uint64_t>(I.ArgOfs) + I.ArgCount > P.ArgPool.size())
           return fail(FaultKind::PlanCorrupt,
                       "extern argument span outside the plan's arg pool");
         for (unsigned A = 0; A != I.ArgCount; ++A)
@@ -452,7 +450,7 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
       assert(false && "block without a terminator");
       return fail(FaultKind::PlanCorrupt, "block without a terminator");
     }
-    if (Guards && BB >= NBlocks)
+    if (BB >= NBlocks)
       return fail(FaultKind::PlanCorrupt,
                   "control transfer outside the block table");
   }

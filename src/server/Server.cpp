@@ -918,11 +918,15 @@ std::string FacileServer::Impl::verbCreate(const json::Value &Req,
           static_cast<uint64_t>(std::max<int64_t>(0, V->intOr(0))), 1u << 20);
     if (const json::Value *V = O->get("memoize"))
       SimOpts.Memoize = V->boolOr(SimOpts.Memoize);
+    // Sizes and limits are unsigned underneath: a negative value would
+    // wrap into an effectively unlimited budget, so it is rejected.
+    for (const char *Name : {"cache_budget_mb", "max_steps", "mem_budget_mb"})
+      if (const json::Value *V = O->get(Name); V && V->intOr(0) < 0)
+        return errorLine(Id, ErrCode::BadRequest,
+                         strFormat("'options.%s' must not be negative", Name));
     if (const json::Value *V = O->get("cache_budget_mb"))
       SimOpts.CacheBudgetBytes =
           static_cast<size_t>(V->intOr(256)) << 20;
-    if (const json::Value *V = O->get("guards"))
-      SimOpts.Guards = V->boolOr(SimOpts.Guards);
     if (const json::Value *V = O->get("max_steps"))
       SimOpts.StepLimit = static_cast<uint64_t>(V->intOr(0));
     if (const json::Value *V = O->get("mem_budget_mb"))
@@ -930,16 +934,6 @@ std::string FacileServer::Impl::verbCreate(const json::Value &Req,
           (static_cast<size_t>(V->intOr(0)) << 20) >> TargetMemory::PageBits;
     if (const json::Value *V = O->get("adaptive_bypass"))
       SimOpts.AdaptiveBypass = V->boolOr(SimOpts.AdaptiveBypass);
-    if (const json::Value *V = O->get("eviction")) {
-      const std::string &E = V->strOr("");
-      if (E == "clearall")
-        SimOpts.Eviction = rt::EvictionPolicy::ClearAll;
-      else if (E == "segmented")
-        SimOpts.Eviction = rt::EvictionPolicy::Segmented;
-      else
-        return errorLine(Id, ErrCode::BadRequest,
-                         "'options.eviction' must be clearall|segmented");
-    }
   }
   // Execution backend for memoized replay (default auto). Unknown values
   // get their own stable code: a client probing for JIT support can tell

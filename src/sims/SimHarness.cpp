@@ -383,7 +383,7 @@ bool FacileSim::attachStore(store::CacheStoreDir &Store, std::string *Err) {
 bool FacileSim::promoteStore(store::CacheStoreDir &Store,
                              uint64_t *OutGeneration, std::string *Err) {
   rt::ActionCache::FlatImage Img =
-      Sim.cache().compactImage(/*KeepThreshold=*/0, /*DropDetached=*/true);
+      Sim.cache().compactImage();
   return Store.promote(Img, Sim.compatKey(), Sim.actionCount(), OutGeneration,
                        Err);
 }
@@ -409,9 +409,11 @@ void FacileSim::registerMetrics(telemetry::MetricsRegistry &R) const {
   // Groups register in the historical statsJson() key order; additions
   // since schema v1 (schema_version itself, branch, mem, profile,
   // telemetry) only ever append or prepend — existing consumers key by
-  // name and must keep parsing.
+  // name and must keep parsing. Schema v3 removed guard.enabled,
+  // cache.evictions and cache.evicted_entries along with unguarded replay
+  // and the LRU-half eviction policy.
   R.add("", [](telemetry::MetricSink &Sink) {
-    Sink.counter("schema_version", 2);
+    Sink.counter("schema_version", 3);
   });
   Sim.registerMetrics(R); // steps..., fault, guard, bypass, cache
   R.add("snapshot", [this](telemetry::MetricSink &Sink) {

@@ -84,7 +84,9 @@ public:
   /// statistics, for machine-readable perf trajectories (no trailing
   /// newline). Keys are stable across releases; new ones may be added.
   /// Since schema_version 2 this is a thin walk over registerMetrics()
-  /// rendered by telemetry::JsonMetricSink — every pre-v2 key survives.
+  /// rendered by telemetry::JsonMetricSink. Schema 3 dropped the three
+  /// keys of the removed modes (guard.enabled, cache.evictions,
+  /// cache.evicted_entries); every other pre-v2 key survives.
   std::string statsJson() const;
 
   //===-- Telemetry ----------------------------------------------------------

@@ -108,7 +108,6 @@ bool facile::store::writeStoreFile(const std::string &Path,
   putU32(Buf, 12, NumActions);
   putU64(Buf, 16, CompatKey);
   putU64(Buf, 24, Generation);
-  putU64(Buf, 32, Img.Tick);
   putU32(Buf, 40, NumSections);
   putU32(Buf, HeaderCrcOfs, snapshot::crc32(Buf.data(), HeaderCrcOfs));
 
@@ -311,7 +310,6 @@ std::shared_ptr<const StoreMap> StoreMap::open(const std::string &Path,
   SM->NumActionsV = getU32(B + 12);
   SM->CompatKeyV = getU64(B + 16);
   SM->GenerationV = getU64(B + 24);
-  SM->Arenas.Tick = getU64(B + 32);
   if (SM->CompatKeyV != CompatKey) {
     Err = "store compatibility key mismatch";
     return nullptr;

@@ -27,7 +27,7 @@
 ///
 ///   header (64 bytes):
 ///     magic "FACSTOR1" (8) | version u32 | action count u32
-///     | compat key u64 | generation u64 | recency tick u64
+///     | compat key u64 | generation u64 | reserved (8, zero)
 ///     | section count u32 | header CRC-32 u32 | reserved (16, zero)
 ///   section table: per section (32 bytes)
 ///     tag u32 | reserved u32 | file offset u64 | byte length u64
@@ -58,7 +58,7 @@ namespace facile {
 namespace store {
 
 /// Bumped whenever the header, section table or any arena layout changes.
-inline constexpr uint32_t StoreVersion = 1;
+inline constexpr uint32_t StoreVersion = 2;
 
 /// Section tags (ASCII fourcc, little-endian in the table).
 inline constexpr uint32_t SecNodes = 0x45444f4eu;      // "NODE"

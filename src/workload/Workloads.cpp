@@ -164,8 +164,8 @@ std::string workload::generateAsm(const WorkloadSpec &Spec,
     // varying along the walk.
     Out += "  mv r13, r4\n";
     for (unsigned B = 0; B != Spec.BlocksPerKernel; ++B) {
-      bool Guarded = R.below(100) < Spec.DepBranchPct;
-      if (Guarded) {
+      bool Skippable = R.below(100) < Spec.DepBranchPct;
+      if (Skippable) {
         // Real branch outcomes are strongly correlated; fully random
         // directions would overstate pipeline-state diversity. Most
         // guards test a low bit of the loop counter (periodic, like loop
@@ -181,7 +181,7 @@ std::string workload::generateAsm(const WorkloadSpec &Spec,
         Out += strFormat("  beq r12, r0, kskip%u_%u\n", K, B);
       }
       emitAluBlock(Out, R, Spec.InstsPerBlock, FpStyle);
-      if (Guarded)
+      if (Skippable)
         Out += strFormat("kskip%u_%u:\n", K, B);
     }
     // Store the value back, advance with stride, wrap at the chunk limit.

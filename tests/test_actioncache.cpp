@@ -2,8 +2,8 @@
 //
 // Unit tests for the flat action-cache data layer: the interned key table
 // (collision handling, rehash growth, binary-safe keys), the shared node
-// arena and data pool, derived byte accounting, and both eviction
-// policies (clear-on-full and segmented LRU-half compaction).
+// arena and data pool, derived byte accounting, and the clear-on-full
+// budget policy.
 //
 //===----------------------------------------------------------------------===//
 
@@ -141,109 +141,14 @@ TEST(ActionCache, ClearDropsEverything) {
 }
 
 TEST(ActionCache, ClearAllPolicyEvictsWholesale) {
-  ActionCache C(256, EvictionPolicy::ClearAll);
+  ActionCache C(256);
   for (int I = 0; I != 8; ++I)
     C.create(intern(C, "key-" + std::to_string(I)));
   EXPECT_TRUE(C.overBudget());
-  C.evict();
+  C.clear();
   EXPECT_EQ(C.entryCount(), 0u);
   EXPECT_EQ(C.bytes(), 0u);
   EXPECT_EQ(C.stats().Clears, 1u);
-  EXPECT_EQ(C.stats().Evictions, 0u);
-}
-
-namespace {
-
-/// Builds an entry with the Figure 2 shape — plain -> test -> {end, end}
-/// — with one data word per node, for eviction round-trips.
-EntryId buildEntry(ActionCache &C, const std::string &Key, int64_t Tag) {
-  EntryId E = C.create(C.internKey(Key.data(), Key.size()));
-  uint32_t P = C.appendNode(0);
-  C.pushData(Tag);
-  C.node(P).K = ActionNode::Kind::Plain;
-  C.node(P).DataLen = 1;
-  C.entry(E).Head = P;
-  uint32_t T = C.appendNode(1);
-  C.pushData(Tag + 1);
-  C.node(T).K = ActionNode::Kind::Test;
-  C.node(T).DataLen = 1;
-  C.node(P).Next = T;
-  for (int V = 0; V != 2; ++V) {
-    uint32_t End = C.appendNode(2 + V);
-    C.pushData(Tag + 2 + V);
-    C.node(End).K = ActionNode::Kind::End;
-    C.node(End).DataLen = 1;
-    std::string NextKey = Key + "-next";
-    C.node(End).NextKey = C.internKey(NextKey.data(), NextKey.size());
-    C.node(T).OnValue[V] = End;
-  }
-  return E;
-}
-
-} // namespace
-
-TEST(ActionCache, SegmentedEvictionKeepsHotHalf) {
-  ActionCache C(1u << 20, EvictionPolicy::Segmented);
-  for (int I = 0; I != 8; ++I)
-    buildEntry(C, "key-" + std::to_string(I), I * 10);
-  // Touch the last four so they are the hot half.
-  std::vector<std::string> Hot;
-  for (int I = 4; I != 8; ++I) {
-    Hot.push_back("key-" + std::to_string(I));
-    C.lookup(C.internKey(Hot.back().data(), Hot.back().size()));
-  }
-  size_t Before = C.bytes();
-  C.evict();
-  EXPECT_EQ(C.stats().Evictions, 1u);
-  EXPECT_EQ(C.stats().EvictedEntries, 4u);
-  EXPECT_EQ(C.entryCount(), 4u);
-  EXPECT_LT(C.bytes(), Before);
-
-  // The hot entries survived with their graphs and data intact.
-  for (size_t I = 0; I != Hot.size(); ++I) {
-    KeyId K = C.internKey(Hot[I].data(), Hot[I].size());
-    EntryId E = C.lookup(K);
-    ASSERT_NE(E, NoId) << Hot[I];
-    int64_t Tag = static_cast<int64_t>((I + 4) * 10);
-    uint32_t P = C.entry(E).Head;
-    ASSERT_NE(P, ActionNode::NoNode);
-    EXPECT_EQ(C.node(P).K, ActionNode::Kind::Plain);
-    EXPECT_EQ(C.data()[C.node(P).DataOfs], Tag);
-    uint32_t T = C.node(P).Next;
-    ASSERT_NE(T, ActionNode::NoNode);
-    EXPECT_EQ(C.node(T).K, ActionNode::Kind::Test);
-    EXPECT_EQ(C.data()[C.node(T).DataOfs], Tag + 1);
-    for (int V = 0; V != 2; ++V) {
-      uint32_t End = C.node(T).OnValue[V];
-      ASSERT_NE(End, ActionNode::NoNode);
-      EXPECT_EQ(C.node(End).K, ActionNode::Kind::End);
-      EXPECT_EQ(C.data()[C.node(End).DataOfs], Tag + 2 + V);
-      // The remapped next key still reads back correctly.
-      std::string NextKey = Hot[I] + "-next";
-      ASSERT_NE(C.node(End).NextKey, NoId);
-      EXPECT_TRUE(
-          C.keyEquals(C.node(End).NextKey, NextKey.data(), NextKey.size()));
-    }
-  }
-
-  // Evicted keys miss and can be re-created.
-  std::string Cold = "key-0";
-  KeyId K0 = C.internKey(Cold.data(), Cold.size());
-  EXPECT_EQ(C.lookup(K0), NoId);
-  EXPECT_NE(buildEntry(C, "key-0b", 999), NoId);
-}
-
-TEST(ActionCache, SegmentedFallsBackToClearWhenStillOverBudget) {
-  // A budget so small that even the retained half overflows: the evict
-  // must end in a wholesale clear so the budget is honoured.
-  ActionCache C(128, EvictionPolicy::Segmented);
-  for (int I = 0; I != 6; ++I)
-    buildEntry(C, "key-" + std::to_string(I), I);
-  EXPECT_TRUE(C.overBudget());
-  C.evict();
-  EXPECT_FALSE(C.overBudget());
-  EXPECT_EQ(C.entryCount(), 0u);
-  EXPECT_GE(C.stats().Clears, 1u);
 }
 
 TEST(ActionCache, EntryIdsStableAcrossInserts) {

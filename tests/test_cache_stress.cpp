@@ -1,13 +1,12 @@
 //===- test_cache_stress.cpp - Randomized tiny-budget cache stress -----------===//
 //
 // Drives the memoizing runtime under cache budgets small enough (4 KB to
-// 64 KB) that clears, segmented evictions and recovery re-records happen
-// constantly, with randomized chunked stepping so evictions land at
-// arbitrary points in the step stream. Checks the stats invariants the
-// rest of the system relies on (Hits <= Lookups, bytes() back to zero
-// after a clear, bytes() within budget after every memoized step,
-// PeakBytes monotone) and that the final architectural state matches an
-// unbudgeted memoized run step for step.
+// 64 KB) that clears and recovery re-records happen constantly, with
+// randomized chunked stepping so clears land at arbitrary points in the
+// step stream. Checks the stats invariants the rest of the system relies
+// on (Hits <= Lookups, bytes() back to zero after a clear, bytes() within
+// budget after every memoized step, PeakBytes monotone) and that the final
+// architectural state matches an unbudgeted memoized run step for step.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,21 +47,17 @@ ArchState snapshot(const FacileSim &Sim) {
           Sim.sim().memory().digest(), Sim.sim().halted()};
 }
 
-/// Runs one simulator under \p Budget / \p Policy in Rng-sized chunks,
-/// checking cache invariants after every chunk, and mirrors each chunk on
-/// an unbudgeted reference simulator to compare architectural state.
-void stressOne(SimKind Kind, rt::EvictionPolicy Policy, size_t Budget,
-               uint64_t Seed) {
-  SCOPED_TRACE(std::string("budget=") + std::to_string(Budget) +
-               (Policy == rt::EvictionPolicy::Segmented ? " segmented"
-                                                        : " clearall"));
+/// Runs one simulator under \p Budget in Rng-sized chunks, checking cache
+/// invariants after every chunk, and mirrors each chunk on an unbudgeted
+/// reference simulator to compare architectural state.
+void stressOne(SimKind Kind, size_t Budget, uint64_t Seed) {
+  SCOPED_TRACE("budget=" + std::to_string(Budget));
 
   rt::Simulation::Options Tiny;
   Tiny.CacheBudgetBytes = Budget;
-  Tiny.Eviction = Policy;
   FacileSim Sim(Kind, stressImage(), Tiny);
 
-  rt::Simulation::Options Roomy; // default 256 MB, never evicts here
+  rt::Simulation::Options Roomy; // default 256 MB, never clears here
   FacileSim Ref(Kind, stressImage(), Roomy);
 
   Rng R(Seed);
@@ -78,8 +73,8 @@ void stressOne(SimKind Kind, rt::EvictionPolicy Policy, size_t Budget,
     const rt::ActionCache &C = Sim.sim().cache();
     const rt::ActionCache::Stats &CS = C.stats();
     ASSERT_LE(CS.Hits, CS.Lookups);
-    // step() evicts whenever the budget is exceeded, and both policies
-    // guarantee a below-budget (or empty) cache afterwards.
+    // step() clears whenever the budget is exceeded, which leaves an
+    // empty cache.
     ASSERT_LE(C.bytes(), Budget);
     ASSERT_GE(CS.PeakBytes, PrevPeak);
     ASSERT_GE(CS.PeakBytes, C.bytes());
@@ -89,31 +84,21 @@ void stressOne(SimKind Kind, rt::EvictionPolicy Policy, size_t Budget,
   }
   EXPECT_TRUE(Sim.sim().halted());
 
-  // The tiny budget must actually have forced wholesale or segmented
-  // eviction, or this test stressed nothing.
-  const rt::ActionCache::Stats &CS = Sim.sim().cache().stats();
-  EXPECT_GT(CS.Clears + CS.Evictions, 0u);
+  // The tiny budget must actually have forced clears, or this test
+  // stressed nothing.
+  EXPECT_GT(Sim.sim().cache().stats().Clears, 0u);
   EXPECT_EQ(Ref.sim().cache().stats().Clears, 0u);
-  EXPECT_EQ(Ref.sim().cache().stats().Evictions, 0u);
 }
 
 } // namespace
 
 TEST(CacheStress, ClearAllTinyBudgets) {
   for (size_t Budget : {4u << 10, 16u << 10, 64u << 10})
-    stressOne(SimKind::Functional, rt::EvictionPolicy::ClearAll, Budget,
-              0x5eed0001 + Budget);
-}
-
-TEST(CacheStress, SegmentedTinyBudgets) {
-  for (size_t Budget : {4u << 10, 16u << 10, 64u << 10})
-    stressOne(SimKind::Functional, rt::EvictionPolicy::Segmented, Budget,
-              0x5eed0002 + Budget);
+    stressOne(SimKind::Functional, Budget, 0x5eed0001 + Budget);
 }
 
 TEST(CacheStress, InOrderSurvivesEvictionChurn) {
-  stressOne(SimKind::InOrder, rt::EvictionPolicy::Segmented, 64u << 10,
-            0x5eed0003);
+  stressOne(SimKind::InOrder, 64u << 10, 0x5eed0003);
 }
 
 TEST(CacheStress, BytesDropToZeroAfterClear) {
@@ -123,7 +108,6 @@ TEST(CacheStress, BytesDropToZeroAfterClear) {
   // survived the clear.
   rt::Simulation::Options Tiny;
   Tiny.CacheBudgetBytes = 8u << 10;
-  Tiny.Eviction = rt::EvictionPolicy::ClearAll;
   FacileSim Sim(SimKind::Functional, stressImage(), Tiny);
 
   uint64_t PrevClears = 0;
@@ -144,9 +128,9 @@ TEST(CacheStress, BytesDropToZeroAfterClear) {
 }
 
 TEST(CacheStress, RecoveryRerecordsAfterEviction) {
-  // After an eviction drops entries, the very next occurrences of their
-  // keys must miss, re-record, and then fast-forward again — visible as
-  // Misses and EntriesCreated continuing to grow past the first eviction
+  // After a clear drops entries, the very next occurrences of their keys
+  // must miss, re-record, and then fast-forward again — visible as
+  // Misses and EntriesCreated continuing to grow past the first clear
   // while fast steps keep accumulating.
   workload::WorkloadSpec Spec = *workload::findSpec("compress");
   Spec.DataKWords = 2;
@@ -154,13 +138,12 @@ TEST(CacheStress, RecoveryRerecordsAfterEviction) {
 
   rt::Simulation::Options Tiny;
   Tiny.CacheBudgetBytes = 32u << 10;
-  Tiny.Eviction = rt::EvictionPolicy::Segmented;
   FacileSim Sim(SimKind::Functional, Endless, Tiny);
 
   Sim.sim().run(50'000);
   ASSERT_FALSE(Sim.sim().halted());
   const rt::ActionCache::Stats &CS = Sim.sim().cache().stats();
-  ASSERT_GT(CS.Clears + CS.Evictions, 0u);
+  ASSERT_GT(CS.Clears, 0u);
 
   uint64_t CreatedBefore = CS.EntriesCreated;
   uint64_t FastBefore = Sim.sim().stats().FastSteps;

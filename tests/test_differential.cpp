@@ -5,10 +5,11 @@
 // forwarding computes "exactly the same simulated cycle counts"). This
 // suite runs every Facile-written simulator (functional, in-order,
 // out-of-order) over each workload twice — Memoize=true vs Memoize=false —
-// under both eviction policies, and asserts identical final architectural
-// state: every global (scalars and arrays), the target-memory digest,
-// RetiredTotal and Cycles. The memoized runs must also actually
-// fast-forward (fastForwardedPct() > 0), or the comparison is vacuous.
+// under roomy and tiny cache budgets, and asserts identical final
+// architectural state: every global (scalars and arrays), the
+// target-memory digest, RetiredTotal and Cycles. The memoized runs must
+// also actually fast-forward (fastForwardedPct() > 0), or the comparison
+// is vacuous.
 //
 // The same oracle covers the execution backends: JitMatchesInterpreter
 // holds the template-JIT to bit-identical state and step accounting
@@ -96,14 +97,13 @@ const char *kindName(SimKind Kind) {
   return "?";
 }
 
-/// Memo-on (under \p Policy) vs memo-off over one workload for one sim.
+/// Memo-on (under \p BudgetBytes) vs memo-off over one workload for one
+/// sim.
 void expectEquivalent(SimKind Kind, const workload::WorkloadSpec &Spec,
-                      rt::EvictionPolicy Policy, size_t BudgetBytes,
-                      uint64_t MaxInstrs) {
+                      size_t BudgetBytes, uint64_t MaxInstrs) {
   isa::TargetImage Image = workload::generate(Spec, 2);
 
   rt::Simulation::Options On;
-  On.Eviction = Policy;
   On.CacheBudgetBytes = BudgetBytes;
   rt::Simulation::Options Off;
   Off.Memoize = false;
@@ -111,9 +111,7 @@ void expectEquivalent(SimKind Kind, const workload::WorkloadSpec &Spec,
   FinalState Memo = runOne(Kind, Image, On, MaxInstrs);
   FinalState Slow = runOne(Kind, Image, Off, MaxInstrs);
 
-  SCOPED_TRACE(std::string(kindName(Kind)) + " on " + Spec.Name +
-               (Policy == rt::EvictionPolicy::Segmented ? " (segmented)"
-                                                        : " (clearall)"));
+  SCOPED_TRACE(std::string(kindName(Kind)) + " on " + Spec.Name);
   EXPECT_EQ(Memo.Halted, Slow.Halted);
   EXPECT_EQ(Memo.RetiredTotal, Slow.RetiredTotal);
   EXPECT_EQ(Memo.Cycles, Slow.Cycles);
@@ -124,7 +122,7 @@ void expectEquivalent(SimKind Kind, const workload::WorkloadSpec &Spec,
   EXPECT_EQ(Slow.FfPct, 0.0);
 }
 
-/// A budget small enough to force evictions mid-run for \p Kind, but big
+/// A budget small enough to force clears mid-run for \p Kind, but big
 /// enough that entries survive long enough to replay. The OOO simulator's
 /// rt-static state (instruction window, scoreboards) makes its keys and
 /// entries an order of magnitude larger than the functional simulator's.
@@ -147,88 +145,68 @@ std::vector<workload::WorkloadSpec> testWorkloads() {
 
 TEST(Differential, FunctionalMemoOnOff) {
   for (const workload::WorkloadSpec &Spec : testWorkloads())
-    expectEquivalent(SimKind::Functional, Spec, rt::EvictionPolicy::ClearAll,
-                     256u << 20, 3'000'000);
+    expectEquivalent(SimKind::Functional, Spec, 256u << 20, 3'000'000);
 }
 
 TEST(Differential, InOrderMemoOnOff) {
   for (const workload::WorkloadSpec &Spec : testWorkloads())
-    expectEquivalent(SimKind::InOrder, Spec, rt::EvictionPolicy::ClearAll,
-                     256u << 20, 3'000'000);
+    expectEquivalent(SimKind::InOrder, Spec, 256u << 20, 3'000'000);
 }
 
 TEST(Differential, OutOfOrderMemoOnOff) {
   for (const workload::WorkloadSpec &Spec : testWorkloads())
-    expectEquivalent(SimKind::OutOfOrder, Spec, rt::EvictionPolicy::ClearAll,
-                     256u << 20, 3'000'000);
-}
-
-TEST(Differential, SegmentedEvictionPreservesResults) {
-  // A budget small enough to force segmented evictions mid-run: replay
-  // after compaction must still be bit-identical to the slow engine.
-  for (SimKind Kind :
-       {SimKind::Functional, SimKind::InOrder, SimKind::OutOfOrder})
-    for (const workload::WorkloadSpec &Spec : testWorkloads())
-      expectEquivalent(Kind, Spec, rt::EvictionPolicy::Segmented,
-                       tinyBudget(Kind), 1'000'000);
+    expectEquivalent(SimKind::OutOfOrder, Spec, 256u << 20, 3'000'000);
 }
 
 TEST(Differential, ClearAllTinyBudgetPreservesResults) {
-  // Same under the paper's clear-on-full with a tiny budget: constant
-  // clears and re-records must not perturb the architectural state.
+  // The paper's clear-on-full with a tiny budget: constant clears and
+  // re-records must not perturb the architectural state.
   for (SimKind Kind :
        {SimKind::Functional, SimKind::InOrder, SimKind::OutOfOrder})
     for (const workload::WorkloadSpec &Spec : testWorkloads())
-      expectEquivalent(Kind, Spec, rt::EvictionPolicy::ClearAll,
-                       tinyBudget(Kind), 1'000'000);
+      expectEquivalent(Kind, Spec, tinyBudget(Kind), 1'000'000);
 }
 
 TEST(Differential, WarmStartMatchesColdStart) {
   // Warm-starting from a persisted action cache is just more memoization:
   // a run that replays another process's recorded actions must compute the
-  // same final architectural state as a cold run, under both eviction
-  // policies. The warm run must also actually replay (FastSteps > 0 from
-  // entries it never recorded), or the comparison is vacuous.
+  // same final architectural state as a cold run. The warm run must also
+  // actually replay (FastSteps > 0 from entries it never recorded), or the
+  // comparison is vacuous.
   for (SimKind Kind :
        {SimKind::Functional, SimKind::InOrder, SimKind::OutOfOrder}) {
     for (const workload::WorkloadSpec &Spec : testWorkloads()) {
+      SCOPED_TRACE(std::string(kindName(Kind)) + " on " + Spec.Name);
       isa::TargetImage Image = workload::generate(Spec, 2);
       constexpr uint64_t MaxInstrs = 500'000;
-      for (rt::EvictionPolicy Policy :
-           {rt::EvictionPolicy::ClearAll, rt::EvictionPolicy::Segmented}) {
-        SCOPED_TRACE(std::string(kindName(Kind)) + " on " + Spec.Name +
-                     (Policy == rt::EvictionPolicy::Segmented ? " (segmented)"
-                                                              : " (clearall)"));
-        rt::Simulation::Options Opts;
-        Opts.Eviction = Policy;
+      rt::Simulation::Options Opts;
 
-        FinalState Cold = runOne(Kind, Image, Opts, MaxInstrs);
+      FinalState Cold = runOne(Kind, Image, Opts, MaxInstrs);
 
-        FacileSim Builder(Kind, Image, Opts);
-        Builder.run(MaxInstrs);
-        std::vector<uint8_t> CacheSnap = Builder.cacheBytes();
+      FacileSim Builder(Kind, Image, Opts);
+      Builder.run(MaxInstrs);
+      std::vector<uint8_t> CacheSnap = Builder.cacheBytes();
 
-        FacileSim Warm(Kind, Image, Opts);
-        std::string Err;
-        ASSERT_TRUE(Warm.loadCacheBytes(CacheSnap, &Err)) << Err;
-        ASSERT_GT(Warm.snapshotStats().CacheEntriesLoaded, 0u);
-        Warm.run(MaxInstrs);
-        EXPECT_GT(Warm.sim().stats().FastSteps, 0u);
+      FacileSim Warm(Kind, Image, Opts);
+      std::string Err;
+      ASSERT_TRUE(Warm.loadCacheBytes(CacheSnap, &Err)) << Err;
+      ASSERT_GT(Warm.snapshotStats().CacheEntriesLoaded, 0u);
+      Warm.run(MaxInstrs);
+      EXPECT_GT(Warm.sim().stats().FastSteps, 0u);
 
-        FinalState W;
-        W.Halted = Warm.sim().halted();
-        W.RetiredTotal = Warm.sim().stats().RetiredTotal;
-        W.Cycles = Warm.sim().stats().Cycles;
-        W.MemDigest = Warm.sim().memory().digest();
-        for (const ir::GlobalVar &G : simulatorProgram(Kind).Globals) {
-          if (G.IsArray)
-            for (uint32_t E = 0; E != G.Size; ++E)
-              W.Globals.push_back(Warm.sim().getGlobalElem(G.Name, E));
-          else
-            W.Globals.push_back(Warm.sim().getGlobal(G.Name));
-        }
-        EXPECT_EQ(W, Cold);
+      FinalState W;
+      W.Halted = Warm.sim().halted();
+      W.RetiredTotal = Warm.sim().stats().RetiredTotal;
+      W.Cycles = Warm.sim().stats().Cycles;
+      W.MemDigest = Warm.sim().memory().digest();
+      for (const ir::GlobalVar &G : simulatorProgram(Kind).Globals) {
+        if (G.IsArray)
+          for (uint32_t E = 0; E != G.Size; ++E)
+            W.Globals.push_back(Warm.sim().getGlobalElem(G.Name, E));
+        else
+          W.Globals.push_back(Warm.sim().getGlobal(G.Name));
       }
+      EXPECT_EQ(W, Cold);
     }
   }
 }
@@ -236,7 +214,7 @@ TEST(Differential, WarmStartMatchesColdStart) {
 TEST(Differential, PassesOnOffBitIdentical) {
   // The optimization pipeline must be invisible to the architecture: the
   // optimized program (memoized and not) computes the same final state as
-  // the raw lowered IR (memoized and not), under both eviction policies.
+  // the raw lowered IR (memoized and not), under a tiny cache budget.
   for (SimKind Kind :
        {SimKind::Functional, SimKind::InOrder, SimKind::OutOfOrder}) {
     for (const workload::WorkloadSpec &Spec : testWorkloads()) {
@@ -253,22 +231,15 @@ TEST(Differential, PassesOnOffBitIdentical) {
       SCOPED_TRACE(std::string(kindName(Kind)) + " on " + Spec.Name);
       EXPECT_EQ(OptSlow, RawSlow) << "passes changed unmemoized execution";
 
-      for (rt::EvictionPolicy Policy :
-           {rt::EvictionPolicy::ClearAll, rt::EvictionPolicy::Segmented}) {
-        rt::Simulation::Options On;
-        On.Eviction = Policy;
-        On.CacheBudgetBytes = tinyBudget(Kind);
-        FinalState RawMemo =
-            runOne(Kind, Image, On, MaxInstrs, PassMode::Raw);
-        FinalState OptMemo =
-            runOne(Kind, Image, On, MaxInstrs, PassMode::Optimized);
-        SCOPED_TRACE(Policy == rt::EvictionPolicy::Segmented ? "segmented"
-                                                             : "clearall");
-        EXPECT_EQ(OptMemo, RawSlow) << "passes changed memoized execution";
-        EXPECT_EQ(RawMemo, RawSlow) << "memoization broke on raw IR";
-        EXPECT_GT(OptMemo.FfPct, 0.0);
-        EXPECT_GT(RawMemo.FfPct, 0.0);
-      }
+      rt::Simulation::Options On;
+      On.CacheBudgetBytes = tinyBudget(Kind);
+      FinalState RawMemo = runOne(Kind, Image, On, MaxInstrs, PassMode::Raw);
+      FinalState OptMemo =
+          runOne(Kind, Image, On, MaxInstrs, PassMode::Optimized);
+      EXPECT_EQ(OptMemo, RawSlow) << "passes changed memoized execution";
+      EXPECT_EQ(RawMemo, RawSlow) << "memoization broke on raw IR";
+      EXPECT_GT(OptMemo.FfPct, 0.0);
+      EXPECT_GT(RawMemo.FfPct, 0.0);
     }
   }
 }

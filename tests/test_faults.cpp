@@ -1,8 +1,8 @@
-//===- test_faults.cpp - Guarded execution and fault-injection campaigns ----===//
+//===- test_faults.cpp - Integrity guards and fault-injection campaigns ---===//
 //
-// The robustness contract of the guarded execution layer: any corruption of
-// target memory, action-cache arenas or the packed execution plan — and any
-// resource exhaustion — ends in exactly one of three ways:
+// The robustness contract of the runtime's integrity guards: any corruption
+// of target memory, action-cache arenas or the packed execution plan — and
+// any resource exhaustion — ends in exactly one of three ways:
 //
 //   1. absorbed: the corrupt entry is detached and the step re-records cold
 //      (counted in Stats::CorruptDropped), with state identical to an
@@ -284,7 +284,7 @@ TEST(FaultCampaign, HarnessSurvivesMixedInjection) {
 
     std::string Json = Sim.statsJson();
     EXPECT_NE(Json.find("\"fault\":{\"kind\":\""), std::string::npos);
-    EXPECT_NE(Json.find("\"guard\":{\"enabled\":true"), std::string::npos);
+    EXPECT_NE(Json.find("\"guard\":{\"faults\":"), std::string::npos);
     EXPECT_NE(Json.find("\"bypass\":{"), std::string::npos);
   }
 }
@@ -491,18 +491,8 @@ TEST(HostApi, TryGlobalAccessorsReportUnknownNames) {
 }
 
 //===----------------------------------------------------------------------===//
-// Recovery edges: miss position × eviction policy
+// Recovery edges: miss position
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-Simulation::Options policyOpts(EvictionPolicy E) {
-  Simulation::Options O;
-  O.Eviction = E;
-  return O;
-}
-
-} // namespace
 
 // Miss on the entry's FIRST Test node: the replayed prefix is empty and
 // recovery must rebuild from the head.
@@ -518,23 +508,21 @@ TEST(RecoveryEdges, MissOnFirstTestNode) {
     }
   )");
   isa::TargetImage Img = emptyImage();
-  for (EvictionPolicy E : {EvictionPolicy::ClearAll, EvictionPolicy::Segmented}) {
-    Simulation Sim(P, Img, policyOpts(E));
-    Sim.step(); // k=0: records the false arm
-    Sim.step(); // k=1: records the false arm
-    Sim.step(); // k=0: fast replay
-    ASSERT_EQ(Sim.stats().FastSteps, 1u);
-    Sim.memory().write32(2097152, 1);
-    EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow); // miss at the head Test
-    EXPECT_EQ(Sim.stats().Misses, 1u);
-    EXPECT_EQ(Sim.memory().read32(2097300), 111u);
-    // Both arms recorded now: flipping back replays without a miss.
-    Sim.memory().write32(2097152, 0);
-    EXPECT_EQ(Sim.step(), StepEngine::Fast);
-    EXPECT_EQ(Sim.memory().read32(2097300), 222u);
-    EXPECT_EQ(Sim.stats().Misses, 1u);
-    EXPECT_FALSE(Sim.faulted());
-  }
+  Simulation Sim(P, Img);
+  Sim.step(); // k=0: records the false arm
+  Sim.step(); // k=1: records the false arm
+  Sim.step(); // k=0: fast replay
+  ASSERT_EQ(Sim.stats().FastSteps, 1u);
+  Sim.memory().write32(2097152, 1);
+  EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow); // miss at the head Test
+  EXPECT_EQ(Sim.stats().Misses, 1u);
+  EXPECT_EQ(Sim.memory().read32(2097300), 111u);
+  // Both arms recorded now: flipping back replays without a miss.
+  Sim.memory().write32(2097152, 0);
+  EXPECT_EQ(Sim.step(), StepEngine::Fast);
+  EXPECT_EQ(Sim.memory().read32(2097300), 222u);
+  EXPECT_EQ(Sim.stats().Misses, 1u);
+  EXPECT_FALSE(Sim.faulted());
 }
 
 // Miss on the LAST Test before the End node: the whole prefix replays,
@@ -552,23 +540,21 @@ TEST(RecoveryEdges, MissImmediatelyBeforeEnd) {
     }
   )");
   isa::TargetImage Img = emptyImage();
-  for (EvictionPolicy E : {EvictionPolicy::ClearAll, EvictionPolicy::Segmented}) {
-    Simulation Sim(P, Img, policyOpts(E));
-    Sim.step();
-    Sim.step();
-    Sim.step();
-    ASSERT_EQ(Sim.stats().FastSteps, 1u);
-    EXPECT_EQ(Sim.memory().read32(2097300), 110u);
-    // First test unchanged, second flips: the miss is the final Test.
-    Sim.memory().write32(2097156, 5);
-    EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow);
-    EXPECT_EQ(Sim.stats().Misses, 1u);
-    EXPECT_EQ(Sim.memory().read32(2097300), 120u);
-    Sim.memory().write32(2097156, 0);
-    EXPECT_EQ(Sim.step(), StepEngine::Fast);
-    EXPECT_EQ(Sim.memory().read32(2097300), 110u);
-    EXPECT_FALSE(Sim.faulted());
-  }
+  Simulation Sim(P, Img);
+  Sim.step();
+  Sim.step();
+  Sim.step();
+  ASSERT_EQ(Sim.stats().FastSteps, 1u);
+  EXPECT_EQ(Sim.memory().read32(2097300), 110u);
+  // First test unchanged, second flips: the miss is the final Test.
+  Sim.memory().write32(2097156, 5);
+  EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow);
+  EXPECT_EQ(Sim.stats().Misses, 1u);
+  EXPECT_EQ(Sim.memory().read32(2097300), 120u);
+  Sim.memory().write32(2097156, 0);
+  EXPECT_EQ(Sim.step(), StepEngine::Fast);
+  EXPECT_EQ(Sim.memory().read32(2097300), 110u);
+  EXPECT_FALSE(Sim.faulted());
 }
 
 // Back-to-back misses on consecutive steps, covering all four path
@@ -586,36 +572,34 @@ TEST(RecoveryEdges, BackToBackMisses) {
     }
   )");
   isa::TargetImage Img = emptyImage();
-  for (EvictionPolicy E : {EvictionPolicy::ClearAll, EvictionPolicy::Segmented}) {
-    Simulation Sim(P, Img, policyOpts(E));
-    Sim.step(); // (0,0): cold record
-    EXPECT_EQ(Sim.memory().read32(2097300), 110u);
+  Simulation Sim(P, Img);
+  Sim.step(); // (0,0): cold record
+  EXPECT_EQ(Sim.memory().read32(2097300), 110u);
 
-    Sim.memory().write32(2097152, 1);
-    EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow); // (1,0): miss #1
-    EXPECT_EQ(Sim.memory().read32(2097300), 210u);
+  Sim.memory().write32(2097152, 1);
+  EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow); // (1,0): miss #1
+  EXPECT_EQ(Sim.memory().read32(2097300), 210u);
 
-    Sim.memory().write32(2097156, 1);
-    EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow); // (1,1): miss #2
-    EXPECT_EQ(Sim.memory().read32(2097300), 220u);
+  Sim.memory().write32(2097156, 1);
+  EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow); // (1,1): miss #2
+  EXPECT_EQ(Sim.memory().read32(2097300), 220u);
 
-    Sim.memory().write32(2097152, 0);
-    EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow); // (0,1): miss #3
-    EXPECT_EQ(Sim.memory().read32(2097300), 120u);
-    EXPECT_EQ(Sim.stats().Misses, 3u);
+  Sim.memory().write32(2097152, 0);
+  EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow); // (0,1): miss #3
+  EXPECT_EQ(Sim.memory().read32(2097300), 120u);
+  EXPECT_EQ(Sim.stats().Misses, 3u);
 
-    // All four paths recorded: cycle them again, all fast, no new misses.
-    const uint32_t Want[4][3] = {
-        {0, 0, 110}, {1, 0, 210}, {1, 1, 220}, {0, 1, 120}};
-    for (const auto &W : Want) {
-      Sim.memory().write32(2097152, W[0]);
-      Sim.memory().write32(2097156, W[1]);
-      EXPECT_EQ(Sim.step(), StepEngine::Fast);
-      EXPECT_EQ(Sim.memory().read32(2097300), W[2]);
-    }
-    EXPECT_EQ(Sim.stats().Misses, 3u);
-    EXPECT_FALSE(Sim.faulted());
+  // All four paths recorded: cycle them again, all fast, no new misses.
+  const uint32_t Want[4][3] = {
+      {0, 0, 110}, {1, 0, 210}, {1, 1, 220}, {0, 1, 120}};
+  for (const auto &W : Want) {
+    Sim.memory().write32(2097152, W[0]);
+    Sim.memory().write32(2097156, W[1]);
+    EXPECT_EQ(Sim.step(), StepEngine::Fast);
+    EXPECT_EQ(Sim.memory().read32(2097300), W[2]);
   }
+  EXPECT_EQ(Sim.stats().Misses, 3u);
+  EXPECT_FALSE(Sim.faulted());
 }
 
 //===----------------------------------------------------------------------===//
@@ -624,7 +608,8 @@ TEST(RecoveryEdges, BackToBackMisses) {
 
 // A key stream wide enough to thrash a tiny cache budget trips the bypass:
 // record/replay shuts off, steps run slow-unrecorded, and after the
-// cooldown the window re-opens.
+// cooldown memoization resumes. Uses the runtime's default observation
+// window and cooldown.
 TEST(Bypass, TripsUnderThrashingAndRecovers) {
   CompiledProgram P = compileOk(R"(
     init val n = 0;
@@ -633,35 +618,50 @@ TEST(Bypass, TripsUnderThrashingAndRecovers) {
   isa::TargetImage Img = emptyImage();
   Simulation::Options Opts;
   Opts.CacheBudgetBytes = 16 << 10; // thrashes: 4096 keys never fit
-  Opts.BypassWindow = 256;
-  Opts.BypassCooldown = 512;
   Simulation Sim(P, Img, Opts);
 
-  RunResult R = Sim.run(8'192);
-  ASSERT_EQ(R.Status, RunStatus::Limit);
+  // Step until the bypass trips and then re-opens.
+  uint64_t TripStep = 0, ResumeStep = 0;
+  for (uint64_t I = 1; I <= 32'768 && ResumeStep == 0; ++I) {
+    ASSERT_NE(Sim.step(), StepEngine::Faulted);
+    if (TripStep == 0 && Sim.bypassActive())
+      TripStep = I;
+    else if (TripStep != 0 && !Sim.bypassActive())
+      ResumeStep = I;
+  }
+  ASSERT_GT(TripStep, 0u) << "thrashing never tripped the bypass";
+  ASSERT_GT(ResumeStep, TripStep) << "the bypass never re-opened";
   const Simulation::Stats &S = Sim.stats();
-  EXPECT_GT(S.BypassActivations, 0u);
-  EXPECT_GT(S.BypassedSteps, 0u);
-  EXPECT_GT(Sim.cache().stats().Clears + Sim.cache().stats().Evictions, 0u);
+  EXPECT_EQ(S.BypassActivations, 1u);
+  // Every step strictly between the trip and the resume ran unrecorded.
+  EXPECT_EQ(S.BypassedSteps, ResumeStep - TripStep - 1);
+  EXPECT_GT(Sim.cache().stats().Clears, 0u);
+
+  // Recovered: the resumed steps go through the cache again.
+  uint64_t Lookups = Sim.cache().stats().Lookups;
+  EXPECT_EQ(Sim.run(64).Status, RunStatus::Limit);
+  EXPECT_FALSE(Sim.bypassActive());
+  EXPECT_EQ(Sim.cache().stats().Lookups, Lookups + 64);
   // Semantics are unchanged by the bypass.
-  EXPECT_EQ(Sim.getGlobal("n"), int64_t(8'192 % 4096));
+  EXPECT_EQ(Sim.getGlobal("n"), int64_t((ResumeStep + 64) % 4096));
 }
 
 // A loop that fits its cache must never trip the bypass: misses during
-// cold warm-up don't count without evictions in the same window.
+// cold warm-up don't count without clears in the same window. The cold lap
+// is 2048 all-slow steps, which covers the runtime's first two whole
+// observation windows.
 TEST(Bypass, DoesNotTripDuringWarmup) {
   CompiledProgram P = compileOk(R"(
     init val n = 0;
-    fun main() { n = (n + 1) % 64; retire(1); }
+    fun main() { n = (n + 1) % 2048; retire(1); }
   )");
   isa::TargetImage Img = emptyImage();
-  Simulation::Options Opts;
-  Opts.BypassWindow = 32; // windows land entirely inside the cold lap
-  Simulation Sim(P, Img, Opts);
-  EXPECT_EQ(Sim.run(1'024).Status, RunStatus::Limit);
+  Simulation Sim(P, Img);
+  EXPECT_EQ(Sim.run(3 * 2048).Status, RunStatus::Limit);
   EXPECT_EQ(Sim.stats().BypassActivations, 0u);
   EXPECT_EQ(Sim.stats().BypassedSteps, 0u);
-  EXPECT_GT(Sim.stats().FastSteps, 900u);
+  // Only the cold lap recorded; the two warm laps replayed in full.
+  EXPECT_EQ(Sim.stats().FastSteps, 2u * 2048);
 }
 
 //===----------------------------------------------------------------------===//

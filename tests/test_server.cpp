@@ -208,9 +208,14 @@ TEST_F(ServerTest, BadCreateArgumentsAreRejected) {
               ErrCode::BadRequest);
   expectError(rpc(C, R"({"id":2,"verb":"create","workload":"nope"})"),
               ErrCode::BadRequest);
-  expectError(
-      rpc(C, R"({"id":3,"verb":"create","options":{"eviction":"lru"}})"),
-      ErrCode::BadRequest);
+  // Sizes and limits are unsigned underneath: a negative value must be
+  // rejected, not wrapped into an effectively unlimited budget.
+  for (const char *Opt : {"cache_budget_mb", "mem_budget_mb", "max_steps"}) {
+    SCOPED_TRACE(Opt);
+    expectError(rpc(C, std::string(R"({"id":3,"verb":"create","options":{")") +
+                           Opt + R"(":-1}})"),
+                ErrCode::BadRequest);
+  }
   expectError(
       rpc(C, R"({"id":4,"verb":"create","fault_inject":"bogus:1"})"),
       ErrCode::BadRequest);
@@ -224,6 +229,12 @@ TEST_F(ServerTest, BadCreateArgumentsAreRejected) {
   ASSERT_TRUE(Srv);
   EXPECT_EQ(Srv->get("active_sessions")->intOr(-1), 0);
   EXPECT_EQ(Srv->get("sessions_created")->intOr(-1), 0);
+
+  // The retired guards/eviction options are unknown fields now, ignored
+  // like any other: an older client that still sends them gets a session.
+  EXPECT_TRUE(isOk(rpc(C, R"({"id":7,"verb":"create","sim":"functional",)"
+                          R"("workload":"compress","options":)"
+                          R"({"guards":false,"eviction":"segmented"}})")));
 }
 
 TEST_F(ServerTest, CreateBackendFieldResolvedAndEchoed) {

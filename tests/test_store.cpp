@@ -156,7 +156,7 @@ TEST(CacheStore, WriteStoreFileIsDeterministic) {
   FacileSim Builder(SimKind::OutOfOrder, Image);
   Builder.run(kBudget);
   rt::ActionCache::FlatImage Img =
-      Builder.sim().cache().compactImage(0, /*DropDetached=*/true);
+      Builder.sim().cache().compactImage();
   uint64_t CK = Builder.sim().compatKey();
   uint32_t NA = static_cast<uint32_t>(Builder.sim().actionCount());
 

@@ -273,8 +273,10 @@ TEST(EventTracer, DisabledHooksRecordNothing) {
 // Integration: statsJson / --metrics / --trace for all three simulators
 //===----------------------------------------------------------------------===//
 
-/// Every key statsJson() emitted before schema_version 2 existed. The
-/// redesigned export path must keep all of them.
+/// Every key statsJson() emitted before schema_version 2 existed, minus
+/// the three schema 3 removed with unguarded replay and LRU-half eviction
+/// (guard.enabled, cache.evictions, cache.evicted_entries). The export
+/// path must keep all of them.
 const char *const PreV2Keys[] = {
     "steps",          "fast_steps",
     "misses",         "retired_total",
@@ -283,14 +285,13 @@ const char *const PreV2Keys[] = {
     "fault",          "kind",
     "step",           "pc",
     "detail",         "guard",
-    "enabled",        "faults",
-    "corrupt_dropped", "bypass",
+    "faults",         "corrupt_dropped",
+    "bypass",
     "active",         "activations",
     "bypassed_steps", "cache",
     "lookups",        "hits",
     "entries_created", "keys_interned",
-    "clears",         "evictions",
-    "evicted_entries", "probe_total",
+    "clears",         "probe_total",
     "probe_max",      "entries",
     "keys",           "nodes",
     "bytes",          "key_pool_bytes",
@@ -320,6 +321,8 @@ TEST(TelemetryIntegration, StatsJsonRetainsPreV2KeysForAllSimulators) {
     EXPECT_TRUE(hasKey(Json, "schema_version"));
     for (const char *K : PreV2Keys)
       EXPECT_TRUE(hasKey(Json, K)) << K << " missing in " << Json;
+    for (const char *K : {"evictions", "evicted_entries"})
+      EXPECT_FALSE(hasKey(Json, K)) << K << " retired in schema 3";
   }
 }
 
