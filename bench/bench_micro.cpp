@@ -2,18 +2,22 @@
 //
 // Microbenchmarks of the primitives underneath the tables: instruction
 // decode, functional execution, cache/predictor probes, action-cache key
-// serialization, and the per-step cost of the fast and slow Facile engines
-// (the constant factors behind Figures 11/12).
+// hashing and interning, snapshot CRC throughput, and the per-step cost of
+// the fast and slow Facile engines (the constant factors behind Figures
+// 11/12).
 //
 //===----------------------------------------------------------------------===//
 
 #include "src/fastsim/FastSim.h"
 #include "src/isa/Assembler.h"
 #include "src/sims/SimHarness.h"
+#include "src/snapshot/Serializer.h"
 #include "src/uarch/FunctionalCore.h"
 #include "src/workload/Workloads.h"
 
 #include <benchmark/benchmark.h>
+
+#include <cstring>
 
 using namespace facile;
 
@@ -90,6 +94,48 @@ void BM_PipelineKeyHash(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_PipelineKeyHash);
+
+/// CRC-32 throughput over a snapshot-sized buffer: every section of a
+/// FACSNAP2 file passes through it on load.
+void BM_Crc32(benchmark::State &State) {
+  std::vector<uint8_t> Buf(16 << 20);
+  for (size_t I = 0; I != Buf.size(); ++I)
+    Buf[I] = static_cast<uint8_t>(I * 131 + 17);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(snapshot::crc32(Buf.data(), Buf.size()));
+  State.SetBytesProcessed(State.iterations() *
+                          static_cast<int64_t>(Buf.size()));
+}
+BENCHMARK(BM_Crc32);
+
+/// internKey on a real ooo.fac step key (the bytes serializeKeyInto
+/// produced, read back from a warmed cache). miss:0 re-interns one key;
+/// miss:1 interns a fresh key every iteration (hash, probe, pool append).
+void BM_InternKeyOoo(benchmark::State &State) {
+  sims::FacileSim Sim(sims::SimKind::OutOfOrder, loopImage());
+  Sim.run(1'000);
+  const rt::ActionCache &Warm = Sim.sim().cache();
+  std::string Key(Warm.keyData(0), Warm.keyLen(0));
+  const bool Miss = State.range(0) != 0;
+  rt::ActionCache C(size_t(1) << 30);
+  C.internKey(Key.data(), Key.size());
+  uint64_t N = 0;
+  for (auto _ : State) {
+    if (Miss) {
+      // Distinct keys; clear now and then so the pool stays bounded.
+      if ((++N & 0x3fff) == 0) {
+        State.PauseTiming();
+        C.clear();
+        State.ResumeTiming();
+      }
+      std::memcpy(Key.data(), &N, sizeof(N));
+    }
+    benchmark::DoNotOptimize(C.internKey(Key.data(), Key.size()));
+  }
+  State.SetItemsProcessed(State.iterations());
+  State.counters["key_bytes"] = static_cast<double>(Key.size());
+}
+BENCHMARK(BM_InternKeyOoo)->ArgName("miss")->Arg(0)->Arg(1);
 
 /// Per-step cost of the Facile engines on the steady-state loop above:
 /// fast replay vs. slow (memoization off) — the constant factors behind

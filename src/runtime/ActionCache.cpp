@@ -50,7 +50,7 @@ void ActionCache::growTable() {
 }
 
 KeyId ActionCache::internKey(const char *Data, size_t Len) {
-  uint64_t H = hashBytes(Data, Len);
+  uint64_t H = hashKey(Data, Len);
 
   // Level one: the read-only base table (mapped store file). Hits return
   // the base key id; misses fall through to the private overlay table —
@@ -293,7 +293,7 @@ bool ActionCache::deserialize(snapshot::Reader &R, uint32_t NumActions) {
     K.Len = R.u32();
     if (static_cast<uint64_t>(K.Ofs) + K.Len > NewKeyPool.size())
       return false;
-    K.Hash = hashBytes(NewKeyPool.data() + K.Ofs, K.Len);
+    K.Hash = hashKey(NewKeyPool.data() + K.Ofs, K.Len);
   }
 
   std::vector<EntryId> NewKeyToEntry;

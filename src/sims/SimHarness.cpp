@@ -128,43 +128,25 @@ void FacileSim::wireExterns(SimKind Kind) {
 //===----------------------------------------------------------------------===//
 
 std::vector<uint8_t> FacileSim::checkpointBytes() const {
-  std::vector<snapshot::Section> Sections(4);
-  Sections[0].Tag = snapshot::SecSimState;
-  Sections[1].Tag = snapshot::SecMemory;
-  Sections[2].Tag = snapshot::SecBranchUnit;
-  Sections[3].Tag = snapshot::SecMemHier;
-  {
-    snapshot::Writer W;
-    Sim.serializeState(W);
-    Sections[0].Bytes = W.take();
-  }
-  {
-    snapshot::Writer W;
-    Sim.memory().serialize(W);
-    Sections[1].Bytes = W.take();
-  }
-  {
-    snapshot::Writer W;
-    BU.serialize(W);
-    Sections[2].Bytes = W.take();
-  }
-  {
-    snapshot::Writer W;
-    MH.serialize(W);
-    Sections[3].Bytes = W.take();
-  }
-  return snapshot::buildContainer(snapshot::PayloadKind::Checkpoint,
-                                  Sim.compatKey(), Sections);
+  snapshot::Writer SimW, MemW, BuW, MhW;
+  Sim.serializeState(SimW);
+  Sim.memory().serialize(MemW);
+  BU.serialize(BuW);
+  MH.serialize(MhW);
+  return snapshot::buildContainer(
+      snapshot::PayloadKind::Checkpoint, Sim.compatKey(),
+      {snapshot::sectionOf(snapshot::SecSimState, SimW.buffer()),
+       snapshot::sectionOf(snapshot::SecMemory, MemW.buffer()),
+       snapshot::sectionOf(snapshot::SecBranchUnit, BuW.buffer()),
+       snapshot::sectionOf(snapshot::SecMemHier, MhW.buffer())});
 }
 
 std::vector<uint8_t> FacileSim::cacheBytes() const {
-  std::vector<snapshot::Section> Sections(1);
-  Sections[0].Tag = snapshot::SecActionCache;
   snapshot::Writer W;
   Sim.serializeCache(W);
-  Sections[0].Bytes = W.take();
-  return snapshot::buildContainer(snapshot::PayloadKind::ActionCache,
-                                  Sim.compatKey(), Sections);
+  return snapshot::buildContainer(
+      snapshot::PayloadKind::ActionCache, Sim.compatKey(),
+      {snapshot::sectionOf(snapshot::SecActionCache, W.buffer())});
 }
 
 bool FacileSim::noteLoadFailure(const char *What, const std::string &Detail,
@@ -223,7 +205,7 @@ bool FacileSim::loadCheckpointBytes(const std::vector<uint8_t> &Bytes,
   // that fails halfway must leave the simulation exactly as it was.
   TargetMemory NewMem;
   {
-    snapshot::Reader R(MemSec->Bytes);
+    snapshot::Reader R(MemSec->Data, MemSec->Len);
     if (!NewMem.deserialize(R) || !R.atEnd()) {
       ++SnapStats.CorruptInputs;
       return noteLoadFailure("checkpoint rejected", "bad memory section", Err);
@@ -231,7 +213,7 @@ bool FacileSim::loadCheckpointBytes(const std::vector<uint8_t> &Bytes,
   }
   BranchUnit NewBU(BU);
   {
-    snapshot::Reader R(BuSec->Bytes);
+    snapshot::Reader R(BuSec->Data, BuSec->Len);
     if (!NewBU.deserialize(R) || !R.atEnd()) {
       ++SnapStats.CorruptInputs;
       return noteLoadFailure("checkpoint rejected", "bad branch-unit section",
@@ -240,7 +222,7 @@ bool FacileSim::loadCheckpointBytes(const std::vector<uint8_t> &Bytes,
   }
   MemoryHierarchy NewMH(MH);
   {
-    snapshot::Reader R(MhSec->Bytes);
+    snapshot::Reader R(MhSec->Data, MhSec->Len);
     if (!NewMH.deserialize(R) || !R.atEnd()) {
       ++SnapStats.CorruptInputs;
       return noteLoadFailure("checkpoint rejected",
@@ -250,7 +232,7 @@ bool FacileSim::loadCheckpointBytes(const std::vector<uint8_t> &Bytes,
   {
     // Simulation state last: deserializeState is itself all-or-nothing, so
     // after it commits every remaining piece is a plain move/assign.
-    snapshot::Reader R(SimSec->Bytes);
+    snapshot::Reader R(SimSec->Data, SimSec->Len);
     if (!Sim.deserializeState(R) || !R.atEnd()) {
       ++SnapStats.CorruptInputs;
       return noteLoadFailure("checkpoint rejected", "bad simulation section",
@@ -289,7 +271,7 @@ bool FacileSim::loadCacheBytes(const std::vector<uint8_t> &Bytes,
     ++SnapStats.CorruptInputs;
     return noteLoadFailure("action cache rejected", "missing section", Err);
   }
-  snapshot::Reader R(Sec->Bytes);
+  snapshot::Reader R(Sec->Data, Sec->Len);
   if (!Sim.deserializeCache(R) || !R.atEnd()) {
     ++SnapStats.CorruptInputs;
     return noteLoadFailure("action cache rejected", "bad cache section", Err);

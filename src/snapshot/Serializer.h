@@ -109,6 +109,18 @@ public:
   }
   bool bytes(void *Out, size_t N) { return get(Out, N); }
 
+  /// Skips the next \p N bytes and returns a pointer to them inside the
+  /// reader's buffer, or null (failing the reader) on short input.
+  const uint8_t *view(size_t N) {
+    if (Failed || N > Len - Pos) {
+      Failed = true;
+      return nullptr;
+    }
+    const uint8_t *P = Data + Pos;
+    Pos += N;
+    return P;
+  }
+
   /// Reads a length-prefixed vector. The count is validated against the
   /// bytes remaining before any allocation, so corrupt counts fail cleanly
   /// instead of exhausting memory. Returns false (and fails the reader) on

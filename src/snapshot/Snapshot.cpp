@@ -4,6 +4,8 @@
 
 #include <cstdio>
 
+#include <sys/stat.h>
+
 namespace facile {
 namespace snapshot {
 
@@ -45,9 +47,9 @@ std::vector<uint8_t> buildContainer(PayloadKind Kind, uint64_t CompatKey,
   W.u32(crc32(W.buffer().data(), W.size()));
   for (const Section &S : Sections) {
     W.u32(S.Tag);
-    W.u64(S.Bytes.size());
-    W.u32(crc32(S.Bytes.data(), S.Bytes.size()));
-    W.bytes(S.Bytes.data(), S.Bytes.size());
+    W.u64(S.Len);
+    W.u32(crc32(S.Data, S.Len));
+    W.bytes(S.Data, S.Len);
   }
   return W.take();
 }
@@ -104,15 +106,13 @@ LoadStatus parseContainer(const uint8_t *Data, size_t Len, PayloadKind Kind,
       Err = "truncated snapshot section " + std::to_string(I);
       return LoadStatus::Corrupt;
     }
-    Section S;
-    S.Tag = Tag;
-    S.Bytes.resize(static_cast<size_t>(PayloadLen));
-    R.bytes(S.Bytes.data(), S.Bytes.size());
-    if (!R.ok() || crc32(S.Bytes.data(), S.Bytes.size()) != PayloadCrc) {
+    Section S{Tag, R.view(static_cast<size_t>(PayloadLen)),
+              static_cast<size_t>(PayloadLen)};
+    if (crc32(S.Data, S.Len) != PayloadCrc) {
       Err = "snapshot section " + std::to_string(I) + " checksum mismatch";
       return LoadStatus::Corrupt;
     }
-    Sections.push_back(std::move(S));
+    Sections.push_back(S);
   }
   if (!R.atEnd()) {
     Err = "trailing bytes after final snapshot section";
@@ -154,17 +154,24 @@ bool readFileBytes(const std::string &Path, std::vector<uint8_t> &Out,
     Err = "cannot open '" + Path + "'";
     return false;
   }
-  std::vector<uint8_t> Bytes;
-  uint8_t Buf[1 << 16];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), File)) != 0)
-    Bytes.insert(Bytes.end(), Buf, Buf + N);
+  struct stat St;
+  if (::fstat(::fileno(File), &St) != 0 || !S_ISREG(St.st_mode)) {
+    std::fclose(File);
+    Err = "'" + Path + "' is not a regular file";
+    return false;
+  }
+  std::vector<uint8_t> Bytes(static_cast<size_t>(St.st_size));
+  size_t N =
+      Bytes.empty() ? 0 : std::fread(Bytes.data(), 1, Bytes.size(), File);
   bool ReadOk = std::ferror(File) == 0;
   std::fclose(File);
   if (!ReadOk) {
     Err = "read error on '" + Path + "'";
     return false;
   }
+  // A file that shrank since it was sized reads short; the container's
+  // framing then rejects it as truncated.
+  Bytes.resize(N);
   Out = std::move(Bytes);
   return true;
 }

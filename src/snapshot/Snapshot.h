@@ -63,11 +63,19 @@ inline constexpr uint32_t SecBranchUnit = 0x55504253u; // "SBPU"
 inline constexpr uint32_t SecMemHier = 0x52484d53u;   // "SMHR"
 inline constexpr uint32_t SecActionCache = 0x48434153u; // "SACH"
 
-/// One framed payload inside a container.
+/// One framed payload inside a container: a tagged view of bytes owned by
+/// someone else (the producer's buffers when building, the file image when
+/// parsing).
 struct Section {
   uint32_t Tag = 0;
-  std::vector<uint8_t> Bytes;
+  const uint8_t *Data = nullptr;
+  size_t Len = 0;
 };
+
+/// A section viewing all of \p Bytes.
+inline Section sectionOf(uint32_t Tag, const std::vector<uint8_t> &Bytes) {
+  return {Tag, Bytes.data(), Bytes.size()};
+}
 
 /// Why a load failed (Ok means it did not).
 enum class LoadStatus {
@@ -86,8 +94,9 @@ std::vector<uint8_t> buildContainer(PayloadKind Kind, uint64_t CompatKey,
                                     const std::vector<Section> &Sections);
 
 /// Parses a container image, verifying magic, version, kind, compat key,
-/// header CRC and every section CRC before returning any data. On failure
-/// \p Out is untouched and \p Err describes the problem.
+/// header CRC and every section CRC before returning any data. The
+/// sections in \p Out point into \p Data, which must outlive them. On
+/// failure \p Out is untouched and \p Err describes the problem.
 LoadStatus parseContainer(const uint8_t *Data, size_t Len, PayloadKind Kind,
                           uint64_t CompatKey, std::vector<Section> &Out,
                           std::string &Err);
@@ -97,8 +106,9 @@ LoadStatus parseContainer(const uint8_t *Data, size_t Len, PayloadKind Kind,
 bool writeFileBytes(const std::string &Path, const std::vector<uint8_t> &Bytes,
                     std::string &Err);
 
-/// Reads the whole file at \p Path. Returns false with \p Err set when the
-/// file cannot be opened or read.
+/// Reads the whole file at \p Path into a buffer sized once from the file
+/// length. Returns false with \p Err set when the file cannot be opened or
+/// read.
 bool readFileBytes(const std::string &Path, std::vector<uint8_t> &Out,
                    std::string &Err);
 

@@ -173,7 +173,7 @@ bool validateArenas(const ActionCache::BaseArenas &A, uint32_t NumActions,
       Err = "key span out of pool bounds";
       return false;
     }
-    if (R.Hash != hashBytes(A.KeyPool + R.Ofs, R.Len)) {
+    if (R.Hash != hashKey(A.KeyPool + R.Ofs, R.Len)) {
       Err = "key hash mismatch";
       return false;
     }
@@ -299,8 +299,8 @@ std::shared_ptr<const StoreMap> StoreMap::open(const std::string &Path,
     Err = "'" + Path + "' is not a FACSTOR1 store file";
     return nullptr;
   }
-  if (getU32(B + 8) != StoreVersion) {
-    Err = "unsupported store format version";
+  if (uint32_t Version = getU32(B + 8); Version != StoreVersion) {
+    Err = "unsupported store format version " + std::to_string(Version);
     return nullptr;
   }
   if (snapshot::crc32(B, HeaderCrcOfs) != getU32(B + HeaderCrcOfs)) {

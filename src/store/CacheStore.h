@@ -57,8 +57,9 @@
 namespace facile {
 namespace store {
 
-/// Bumped whenever the header, section table or any arena layout changes.
-inline constexpr uint32_t StoreVersion = 2;
+/// Bumped whenever the header, section table, any arena layout or the
+/// persisted key hash (hashKey) changes.
+inline constexpr uint32_t StoreVersion = 3;
 
 /// Section tags (ASCII fourcc, little-endian in the table).
 inline constexpr uint32_t SecNodes = 0x45444f4eu;      // "NODE"

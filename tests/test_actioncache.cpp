@@ -66,6 +66,27 @@ TEST(ActionCache, KeysAreBinarySafe) {
   EXPECT_FALSE(C.keyEquals(I1, K2.data(), K2.size()));
 }
 
+TEST(ActionCache, KeyHashGoldenValues) {
+  // Store files persist key hashes and their probe table, so these values
+  // are part of the FACSTOR1 format: a change here needs a
+  // store::StoreVersion bump. 1,576 bytes is an ooo.fac step key.
+  const std::pair<size_t, uint64_t> Golden[] = {
+      {0, 0xd8a310150df90781ULL},    {7, 0xe41270fe14d9c59eULL},
+      {8, 0x1debab7a696bebb1ULL},    {9, 0x22184d7194616aecULL},
+      {1576, 0x749976e828961853ULL},
+  };
+  for (const auto &[Size, Hash] : Golden) {
+    std::string Key(Size, '\0');
+    for (size_t I = 0; I != Size; ++I)
+      Key[I] = static_cast<char>(I * 131 + 17);
+    EXPECT_EQ(hashKey(Key.data(), Key.size()), Hash) << Size << " bytes";
+    ActionCache C(1 << 20);
+    EXPECT_EQ(C.keyHash(intern(C, Key)), Hash) << Size << " bytes";
+  }
+  // The length is mixed in: zero-padding the last lane does not collide.
+  EXPECT_NE(hashKey("abc", 3), hashKey("abc\0", 4));
+}
+
 TEST(ActionCache, InternSurvivesTableGrowthAndCollisions) {
   // Far more keys than the initial table: forces several rehashes and
   // plenty of probe collisions; every key must stay resolvable and ids

@@ -95,15 +95,68 @@ TEST(Serializer, Crc32KnownVector) {
   EXPECT_EQ(snapshot::crc32("", 0), 0u);
 }
 
+/// Bit-at-a-time CRC-32 over the reflected IEEE polynomial: an oracle that
+/// shares no table with the word-at-a-time implementation under test.
+uint32_t crc32Oracle(const uint8_t *P, size_t Len, uint32_t Seed = 0) {
+  uint32_t C = ~Seed;
+  for (size_t I = 0; I != Len; ++I) {
+    C ^= P[I];
+    for (int K = 0; K != 8; ++K)
+      C = (C >> 1) ^ (0xedb88320u & (0u - (C & 1u)));
+  }
+  return ~C;
+}
+
+TEST(Serializer, Crc32MatchesBitwiseOracle) {
+  // Every length through eight whole words plus a 3-byte tail, at every
+  // alignment of the first byte, so the word loop, the tail and unaligned
+  // word loads are all compared with the oracle.
+  std::vector<uint8_t> Buf(7 + 67);
+  uint32_t X = 0x9e3779b9u;
+  for (uint8_t &B : Buf) {
+    X = X * 1664525u + 1013904223u;
+    B = static_cast<uint8_t>(X >> 24);
+  }
+  for (size_t Ofs = 0; Ofs != 8; ++Ofs)
+    for (size_t Len = 0; Len != 68; ++Len) {
+      const uint8_t *P = Buf.data() + Ofs;
+      uint32_t Whole = snapshot::crc32(P, Len);
+      EXPECT_EQ(Whole, crc32Oracle(P, Len)) << "ofs " << Ofs << " len " << Len;
+      // Streaming: crc32(B, crc32(A)) == crc32(A || B) at every split.
+      for (size_t Split = 0; Split <= Len; ++Split)
+        EXPECT_EQ(snapshot::crc32(P + Split, Len - Split,
+                                  snapshot::crc32(P, Split)),
+                  Whole)
+            << "ofs " << Ofs << " len " << Len << " split " << Split;
+    }
+}
+
 //===----------------------------------------------------------------------===//
 // Container
 //===----------------------------------------------------------------------===//
 
-std::vector<uint8_t> testContainer(uint64_t Compat = 0x1234) {
-  snapshot::Section S1{snapshot::SecSimState, {1, 2, 3, 4, 5}};
-  snapshot::Section S2{snapshot::SecMemory, {}};
-  return snapshot::buildContainer(snapshot::PayloadKind::Checkpoint, Compat,
-                                  {S1, S2});
+/// A 5-byte section then one holding \p Second.
+std::vector<uint8_t> testContainer(uint64_t Compat = 0x1234,
+                                   const std::vector<uint8_t> &Second = {}) {
+  const std::vector<uint8_t> First{1, 2, 3, 4, 5};
+  return snapshot::buildContainer(
+      snapshot::PayloadKind::Checkpoint, Compat,
+      {snapshot::sectionOf(snapshot::SecSimState, First),
+       snapshot::sectionOf(snapshot::SecMemory, Second)});
+}
+
+/// testContainer with a 45-byte second section. Its payload starts at
+/// image offset 69 (not a multiple of 8) and spans five CRC words plus a
+/// 5-byte tail, so the fuzz loops below reach the word loop too.
+std::vector<uint8_t> wideTestContainer() {
+  std::vector<uint8_t> Second(45);
+  for (size_t I = 0; I != Second.size(); ++I)
+    Second[I] = static_cast<uint8_t>(I * 37 + 11);
+  return testContainer(0x1234, Second);
+}
+
+std::vector<uint8_t> bytesOf(const snapshot::Section &S) {
+  return std::vector<uint8_t>(S.Data, S.Data + S.Len);
 }
 
 TEST(Container, RoundTrip) {
@@ -117,9 +170,24 @@ TEST(Container, RoundTrip) {
       << Err;
   ASSERT_EQ(Out.size(), 2u);
   EXPECT_EQ(Out[0].Tag, snapshot::SecSimState);
-  EXPECT_EQ(Out[0].Bytes, (std::vector<uint8_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(bytesOf(Out[0]), (std::vector<uint8_t>{1, 2, 3, 4, 5}));
   EXPECT_EQ(Out[1].Tag, snapshot::SecMemory);
-  EXPECT_TRUE(Out[1].Bytes.empty());
+  EXPECT_EQ(Out[1].Len, 0u);
+  // Sections are views into the image, not copies: the first payload
+  // follows the 32-byte header and its 16-byte section frame.
+  EXPECT_EQ(Out[0].Data, Img.data() + 48);
+  EXPECT_EQ(Out[1].Data, Img.data() + Img.size());
+
+  std::vector<uint8_t> Wide = wideTestContainer();
+  ASSERT_EQ(snapshot::parseContainer(Wide.data(), Wide.size(),
+                                     snapshot::PayloadKind::Checkpoint, 0x1234,
+                                     Out, Err),
+            snapshot::LoadStatus::Ok)
+      << Err;
+  ASSERT_EQ(Out.size(), 2u);
+  EXPECT_EQ(Out[1].Data, Wide.data() + 69);
+  ASSERT_EQ(Out[1].Len, 45u);
+  EXPECT_EQ(Out[1].Data[44], static_cast<uint8_t>(44 * 37 + 11));
 }
 
 TEST(Container, RejectsWrongMagicKindAndCompat) {
@@ -162,16 +230,18 @@ TEST(Container, RejectsWrongMagicKindAndCompat) {
 }
 
 TEST(Container, EveryTruncationRejected) {
-  std::vector<uint8_t> Img = testContainer();
-  std::vector<snapshot::Section> Out;
-  std::string Err;
-  for (size_t Len = 0; Len != Img.size(); ++Len) {
-    EXPECT_NE(snapshot::parseContainer(Img.data(), Len,
-                                       snapshot::PayloadKind::Checkpoint,
-                                       0x1234, Out, Err),
-              snapshot::LoadStatus::Ok)
-        << "truncation to " << Len << " bytes parsed";
-    EXPECT_TRUE(Out.empty());
+  for (const std::vector<uint8_t> &Img :
+       {testContainer(), wideTestContainer()}) {
+    std::vector<snapshot::Section> Out;
+    std::string Err;
+    for (size_t Len = 0; Len != Img.size(); ++Len) {
+      EXPECT_NE(snapshot::parseContainer(Img.data(), Len,
+                                         snapshot::PayloadKind::Checkpoint,
+                                         0x1234, Out, Err),
+                snapshot::LoadStatus::Ok)
+          << "truncation to " << Len << " bytes parsed";
+      EXPECT_TRUE(Out.empty());
+    }
   }
 }
 
@@ -180,20 +250,22 @@ TEST(Container, EveryPayloadBitFlipRejected) {
   // everything except flips inside a section tag, which parse but change
   // the tag — consumers then miss their section, which is also a clean
   // failure; here we only demand "never Ok with the original sections".
-  std::vector<uint8_t> Img = testContainer();
-  std::string Err;
-  for (size_t Bit = 0; Bit != Img.size() * 8; ++Bit) {
-    std::vector<uint8_t> Mut = Img;
-    Mut[Bit / 8] ^= uint8_t(1u << (Bit % 8));
-    std::vector<snapshot::Section> Out;
-    snapshot::LoadStatus St = snapshot::parseContainer(
-        Mut.data(), Mut.size(), snapshot::PayloadKind::Checkpoint, 0x1234, Out,
-        Err);
-    if (St == snapshot::LoadStatus::Ok) {
-      ASSERT_EQ(Out.size(), 2u);
-      EXPECT_TRUE(Out[0].Tag != snapshot::SecSimState ||
-                  Out[1].Tag != snapshot::SecMemory)
-          << "bit " << Bit << " flipped yet container parsed unchanged";
+  for (const std::vector<uint8_t> &Img :
+       {testContainer(), wideTestContainer()}) {
+    std::string Err;
+    for (size_t Bit = 0; Bit != Img.size() * 8; ++Bit) {
+      std::vector<uint8_t> Mut = Img;
+      Mut[Bit / 8] ^= uint8_t(1u << (Bit % 8));
+      std::vector<snapshot::Section> Out;
+      snapshot::LoadStatus St = snapshot::parseContainer(
+          Mut.data(), Mut.size(), snapshot::PayloadKind::Checkpoint, 0x1234,
+          Out, Err);
+      if (St == snapshot::LoadStatus::Ok) {
+        ASSERT_EQ(Out.size(), 2u);
+        EXPECT_TRUE(Out[0].Tag != snapshot::SecSimState ||
+                    Out[1].Tag != snapshot::SecMemory)
+            << "bit " << Bit << " flipped yet container parsed unchanged";
+      }
     }
   }
 }
@@ -432,6 +504,17 @@ TEST(SnapshotFiles, MissingFileIsCleanFailure) {
   EXPECT_FALSE(Err.empty());
   EXPECT_FALSE(Sim.loadCache("/nonexistent/path/x.acache", &Err));
   EXPECT_EQ(Sim.snapshotStats().ColdFallbacks, 2u);
+}
+
+TEST(SnapshotFiles, DirectoryIsCleanFailure) {
+  // The loader sizes its buffer from the file; a directory has no size to
+  // trust and must be refused before any allocation.
+  isa::TargetImage Image = workload::generate(testSpec(), 2);
+  FacileSim Sim(SimKind::OutOfOrder, Image);
+  std::string Err;
+  EXPECT_FALSE(Sim.loadCache(::testing::TempDir(), &Err));
+  EXPECT_NE(Err.find("not a regular file"), std::string::npos) << Err;
+  EXPECT_EQ(Sim.snapshotStats().ColdFallbacks, 1u);
 }
 
 TEST(SnapshotFiles, SaveLoadRoundTripOnDisk) {

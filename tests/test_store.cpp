@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "src/sims/SimHarness.h"
+#include "src/snapshot/Serializer.h"
 #include "src/store/CacheStore.h"
 #include "src/workload/Workloads.h"
 
@@ -252,6 +253,51 @@ TEST(CacheStore, CorruptionIsRejected) {
   ASSERT_TRUE(writeFileBytes(Path, Good));
   store::CacheStoreDir Healed(Dir);
   EXPECT_TRUE(Healed.lookup(CK, NA, &Err) != nullptr) << Err;
+  removeTree(Dir);
+}
+
+TEST(CacheStore, OldVersionIsAFormatMismatch) {
+  // A well-formed store file of the previous format version (header CRC
+  // recomputed, so only the version differs) is rejected by the version
+  // check, not by a CRC or structural check, and the consumer falls back
+  // to a cold start.
+  isa::TargetImage Image = workload::generate(testSpec(), 2);
+  FacileSim Cold(SimKind::OutOfOrder, Image);
+  Cold.run(kBudget);
+  FacileSim Builder(SimKind::OutOfOrder, Image);
+  Builder.run(kBudget);
+
+  std::string Dir = freshDir("oldversion");
+  store::CacheStoreDir Store(Dir);
+  std::string Err;
+  ASSERT_TRUE(Builder.promoteStore(Store, nullptr, &Err)) << Err;
+  uint64_t CK = Builder.sim().compatKey();
+  uint32_t NA = static_cast<uint32_t>(Builder.sim().actionCount());
+  std::string Path = Dir + "/" + store::CacheStoreDir::fileName(CK, 1);
+  std::vector<uint8_t> Old = readFileBytes(Path);
+  ASSERT_GT(Old.size(), size_t(64));
+  uint32_t Prev = store::StoreVersion - 1;
+  std::memcpy(Old.data() + 8, &Prev, 4);
+  uint32_t Crc = snapshot::crc32(Old.data(), 44);
+  std::memcpy(Old.data() + 44, &Crc, 4);
+  ASSERT_TRUE(writeFileBytes(Path, Old));
+
+  const std::string Want =
+      "unsupported store format version " + std::to_string(Prev);
+  {
+    store::CacheStoreDir Fresh(Dir);
+    EXPECT_FALSE(Fresh.lookup(CK, NA, &Err));
+    EXPECT_EQ(Err, Want);
+  }
+  store::CacheStoreDir Fresh(Dir);
+  FacileSim Victim(SimKind::OutOfOrder, Image);
+  EXPECT_FALSE(Victim.attachStore(Fresh, &Err));
+  EXPECT_NE(Err.find(Want), std::string::npos) << Err;
+  EXPECT_EQ(Victim.snapshotStats().ColdFallbacks, 1u);
+  EXPECT_FALSE(Victim.snapshotStats().CacheLoaded);
+  EXPECT_FALSE(Victim.sim().cacheBaseAttached());
+  Victim.run(kBudget);
+  EXPECT_EQ(Victim.sim().memory().digest(), Cold.sim().memory().digest());
   removeTree(Dir);
 }
 
