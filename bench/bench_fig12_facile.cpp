@@ -17,8 +17,9 @@
 // The memoized configurations also run under the template-JIT backend
 // (--jit=auto by default): kips_memo_jit / jit_speedup record what native
 // code buys over the interpreting backend on identical work, and the run
-// cross-checks the two backends' final memory digests — a JIT that drifts
-// from the interpreter by one bit fails here before it fails CI.
+// cross-checks the two backends' final memory digests, retired counts and
+// cycle counts — a JIT that drifts from the interpreter by one bit fails
+// here before it fails CI.
 //
 //===----------------------------------------------------------------------===//
 
@@ -110,10 +111,11 @@ int main(int Argc, char **Argv) {
     double TelemetryOverheadPct = (KipsMemo / KipsMemoT - 1.0) * 100.0;
     TelemetryOverheads.push_back(TelemetryOverheadPct);
 
-    // Template-JIT configuration: identical work to Memo, with the
-    // hot actions compiled to native code. Threshold 1 compiles on first
-    // replay — the budgets here are far below production run lengths, so
-    // the default warm-up threshold would understate steady-state gain.
+    // Template-JIT configuration: identical work to Memo, with hot block
+    // bodies and entries compiled to native code. Threshold 1 compiles on
+    // first visit — the budgets here are far below production run
+    // lengths, so the default warm-up threshold would understate
+    // steady-state gain.
     double KipsMemoJit = 0.0, JitSpeedup = 0.0;
     bool JitRan = false, JitDigestOk = true;
     if (RunJit) {
@@ -129,11 +131,13 @@ int main(int Argc, char **Argv) {
       if (JitRan)
         JitSpeedups.push_back(JitSpeedup);
       // Same budget, same deterministic workload: the final target memory
-      // must be bit-identical across backends.
+      // and the retired and cycle counts must be bit-identical across
+      // backends.
       JitDigestOk = MemoJ.sim().memory().digest() ==
                         Memo.sim().memory().digest() &&
                     MemoJ.sim().stats().RetiredTotal ==
-                        Memo.sim().stats().RetiredTotal;
+                        Memo.sim().stats().RetiredTotal &&
+                    MemoJ.sim().stats().Cycles == Memo.sim().stats().Cycles;
       JitDigestsMatch = JitDigestsMatch && JitDigestOk;
       JitCompiledActions += MemoJ.sim().jitCompiledActions();
     }
@@ -209,7 +213,7 @@ int main(int Argc, char **Argv) {
               MeanTelemetry);
   if (RunJit)
     std::printf("template-JIT backend: geomean %.3fx vs interpreting "
-                "backend over %zu workloads, %llu actions compiled, "
+                "backend over %zu workloads, %llu blocks+traces compiled, "
                 "digests %s\n",
                 JitGeomean, JitSpeedups.size(),
                 (unsigned long long)JitCompiledActions,

@@ -140,14 +140,21 @@ BENCHMARK(BM_InternKeyOoo)->ArgName("miss")->Arg(0)->Arg(1);
 /// Per-step cost of the Facile engines on the steady-state loop above:
 /// fast replay vs. slow (memoization off) — the constant factors behind
 /// Figure 12.
+/// One replayed step on the interpreting backend (jit:0) and on the JIT
+/// backend (jit:1), whose warm-up compiles the loop's entries to traces.
+/// The label names the backend the run resolved to.
 void BM_FacileFastStep(benchmark::State &State) {
-  sims::FacileSim Sim(sims::SimKind::OutOfOrder, loopImage());
-  Sim.run(50'000); // warm the action cache
+  rt::Simulation::Options Opts;
+  Opts.Backend =
+      State.range(0) ? rt::BackendKind::Jit : rt::BackendKind::Interpret;
+  sims::FacileSim Sim(sims::SimKind::OutOfOrder, loopImage(), Opts);
+  Sim.run(50'000); // warm the action cache (and compile traces)
+  State.SetLabel(Sim.sim().backendName());
   for (auto _ : State)
     Sim.sim().step();
   State.SetItemsProcessed(State.iterations());
 }
-BENCHMARK(BM_FacileFastStep);
+BENCHMARK(BM_FacileFastStep)->ArgName("jit")->Arg(0)->Arg(1);
 
 void BM_FacileSlowStep(benchmark::State &State) {
   rt::Simulation::Options Off;

@@ -1,4 +1,4 @@
-//===- JitAbi.h - Contract between compiled actions and the runtime -*- C++ -*-===//
+//===- JitAbi.h - Contract between compiled code and runtime ---*- C++ -*-===//
 //
 // Part of the Facile reproduction project.
 //
@@ -6,26 +6,23 @@
 ///
 /// \file
 /// The ABI shared by the template JIT (src/jit) and the runtime that calls
-/// into its code (src/runtime/FastEngine.cpp via the Jit ExecBackend).
-///
-/// A compiled action is a leaf function
+/// into its code (SlowEngine.cpp and FastEngine.cpp via the Jit
+/// ExecBackend). Compiled code comes in two kinds, one per engine, both
+/// leaf functions of the shape
 ///
 ///   int64_t fn(const JitFrame *Frame, const int64_t *Span)
 ///
-/// executing one action's dynamic-only XInst stream natively. \p Span is
-/// the node's placeholder span (resolved by the caller against the cache
-/// arenas, exactly as the interpreter resolves it); the number of words the
-/// stream consumes is a per-action compile-time constant, so the caller
-/// must pre-check `Node.DataLen == JitCache::words(ActionId)` and fall back
-/// to the interpreter on mismatch — that is the structural bailout.
+///  - a slow-stream block body (jit::emitBlock), run by the recording
+///    engine; \p Span is unused. Returns 0 when the body ran to completion.
+///  - a whole-entry trace (jit::emitTrace), run by the replay engine;
+///    \p Span is the overlay data pool base. Returns the index of the exit
+///    the replay left through.
 ///
-/// Return value:
-///   >= 0  the action ran to completion; the value is the dynamic-result
-///         TestValue (0/1, or 0 when the action has no Branch)
-///   <  0  a bail code (below). Bails only occur for conditions that are
-///         immediate faults in the interpreter too — never for conditions
-///         the interpreter would recover from — so the caller must never
-///         re-run a bailed node (its side effects already happened).
+/// A negative return is a bail code (below). Bails only occur for
+/// conditions that are immediate faults in the interpreter too — never for
+/// conditions the interpreter would recover from — so the caller turns a
+/// bail into the interpreter's fault and never re-runs the code (its side
+/// effects already happened).
 ///
 /// Everything session-mutable is reached through the JitFrame; everything
 /// immutable per plan/image (text base, array sizes, data pointers of the
@@ -59,8 +56,7 @@ struct JitFrame {
   bool *Halt = nullptr;                  ///< +72
   int64_t ExternRet = 0;                 ///< +80 extern-result scratch
   /// +88: base-layer data pool, refreshed by the caller before every trace
-  /// call (trace code resolves base-side spans off it; action code never
-  /// reads it — the caller resolves the span).
+  /// call (trace code resolves base-side spans off it).
   const int64_t *BaseData = nullptr;
   // Slow-path (complete stream) state, used only by compiled block bodies:
   // the recording simulator's private run-time-static state, plus the
@@ -78,7 +74,7 @@ struct JitFrame {
   int64_t *CaptureEnd = nullptr;
 };
 
-/// A compiled action entry point.
+/// A compiled block body or entry trace.
 using JitFn = int64_t (*)(const JitFrame *Frame, const int64_t *Span);
 
 /// Negative return values of a JitFn.
@@ -110,8 +106,8 @@ struct JitRuntimeHooks {
   void (*Print)(int64_t Value) = nullptr;
 };
 
-/// Per-session JIT view, armed by the Jit ExecBackend and consulted by the
-/// replay loop: the frame, the plan's shared code cache, the session's
+/// Per-session JIT view, armed by the Jit ExecBackend and consulted by both
+/// engines: the frame, the plan's shared block-body cache, the session's
 /// private trace cache, the compile trip point and the session-local
 /// counters.
 class JitCache;
@@ -120,10 +116,9 @@ struct JitSession {
   JitFrame Frame;
   JitCache *Cache = nullptr;
   JitTraceCache *Traces = nullptr; ///< per-session compiled entry traces
-  uint32_t Threshold = 1; ///< visits before an action/trace compiles
-  uint64_t JitSteps = 0;   ///< steps where >=1 node ran natively
+  uint32_t Threshold = 1; ///< visits before a block body or trace compiles
+  uint64_t JitSteps = 0;   ///< replayed steps where a trace ran
   uint64_t TraceSteps = 0; ///< steps completed entirely by one trace call
-  uint64_t Bailouts = 0;   ///< structural fallbacks to the interpreter
   uint64_t SlowBlockExecs = 0; ///< slow-path block bodies run natively
   /// Placeholder capture buffer for recording block variants; sized on
   /// demand to the dispatched block's compile-time capture word count.

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executable memory for compiled actions under a strict W^X discipline:
+/// Executable memory for compiled code under a strict W^X discipline:
 /// each published unit gets its own page-rounded mmap chunk, filled while
 /// the mapping is read-write and mprotect-flipped to read-execute before
 /// the entry pointer is ever published. Chunks are never flipped back,

@@ -1,4 +1,4 @@
-//===- JitCache.cpp - Per-plan compiled-action cache -----------------------===//
+//===- JitCache.cpp - Per-plan compiled block-body cache -------------------===//
 
 #include "src/jit/JitCache.h"
 
@@ -23,17 +23,6 @@ JitCache::JitCache(const CompiledProgram &Prog, const rt::ExecPlan &Plan,
   for (const auto &L : Prog.Step.LocalArrays)
     Ctx.LocArraySizes.push_back(L.Size);
 
-  NumActions = static_cast<uint32_t>(Plan.ActionOfs.size() - 1);
-  Fns = std::make_unique<std::atomic<JitFn>[]>(NumActions);
-  Visits = std::make_unique<std::atomic<uint32_t>[]>(NumActions);
-  State = std::make_unique<std::atomic<uint8_t>[]>(NumActions);
-  for (uint32_t A = 0; A != NumActions; ++A) {
-    Fns[A].store(nullptr, std::memory_order_relaxed);
-    Visits[A].store(0, std::memory_order_relaxed);
-    State[A].store(Cold, std::memory_order_relaxed);
-  }
-  Words.assign(NumActions, 0);
-
   NumBlocks = static_cast<uint32_t>(Plan.BlockOfs.size() - 1);
   for (unsigned V = 0; V != 2; ++V)
     BlockFns[V] = std::make_unique<std::atomic<JitFn>[]>(NumBlocks);
@@ -46,41 +35,6 @@ JitCache::JitCache(const CompiledProgram &Prog, const rt::ExecPlan &Plan,
     BlockState[B].store(Cold, std::memory_order_relaxed);
   }
   BlockWords.assign(NumBlocks, 0);
-}
-
-void JitCache::noteVisit(uint32_t Action, uint32_t Threshold) {
-  if (Action >= NumActions ||
-      State[Action].load(std::memory_order_relaxed) != Cold)
-    return;
-  uint32_t Seen = Visits[Action].fetch_add(1, std::memory_order_relaxed) + 1;
-  if (Seen < Threshold)
-    return;
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (State[Action].load(std::memory_order_relaxed) == Cold)
-    compileLocked(Action);
-}
-
-void JitCache::compileLocked(uint32_t Action) {
-  std::vector<uint8_t> Code;
-  uint32_t NumWords = 0;
-  if (!emitAction(Ctx, Action, Code, NumWords)) {
-    State[Action].store(NoCompile, std::memory_order_relaxed);
-    return;
-  }
-  const uint8_t *Base = Arena.publish(Code.data(), Code.size());
-  if (!Base) {
-    State[Action].store(NoCompile, std::memory_order_relaxed);
-    return;
-  }
-
-  Words[Action] = NumWords;
-  Compiled.fetch_add(1, std::memory_order_relaxed);
-  CodeBytes.fetch_add(Code.size(), std::memory_order_relaxed);
-  // Release: a reader that sees the pointer sees the code bytes, the
-  // protection flip and Words[Action].
-  Fns[Action].store(reinterpret_cast<JitFn>(reinterpret_cast<uintptr_t>(Base)),
-                    std::memory_order_release);
-  State[Action].store(Published, std::memory_order_relaxed);
 }
 
 void JitCache::noteBlockVisit(uint32_t B, uint32_t Threshold) {

@@ -362,14 +362,12 @@ public:
 };
 
 //===----------------------------------------------------------------------===//
-// Per-action compilation
+// Stream compilation: action bodies (for traces) and slow-stream blocks
 //===----------------------------------------------------------------------===//
 
 class ActionCompiler {
 public:
   ActionCompiler(const EmitContext &Ctx, Asm &A) : Ctx(Ctx), A(A) {}
-
-  bool compile(uint32_t Action, uint32_t &WordsOut);
 
   /// Emits just the instruction stream of \p Action at the current code
   /// position — no prologue, epilogue or bail stubs. The register
@@ -863,56 +861,6 @@ bool ActionCompiler::emitBody(uint32_t Action, uint32_t &WordsOut) {
   return true;
 }
 
-bool ActionCompiler::compile(uint32_t Action, uint32_t &WordsOut) {
-  const ExecPlan &P = *Ctx.Plan;
-  uint32_t Begin = P.ActionOfs[Action], End = P.ActionOfs[Action + 1];
-  if (Begin == End)
-    return false; // nothing to gain; keep empty actions interpreted
-
-  // Prologue: save callee-saved state, cache the frame pointers, zero the
-  // TestValue accumulator, reserve the extern argument scratch (keeps rsp
-  // 16-aligned at every call site: entry rsp%16==8, +5 pushes, -128).
-  A.push(RBX);
-  A.push(R12);
-  A.push(R13);
-  A.push(R14);
-  A.push(R15);
-  A.movRR(RBX, RDI);
-  A.movRR(R13, RSI);
-  A.movRM(R12, RBX, 0);
-  A.movRM(R14, RBX, 8);
-  A.xorR32(R15);
-  A.subRI32(RSP, 128);
-
-  if (!emitBody(Action, WordsOut))
-    return false;
-
-  A.movRR(RAX, R15);
-  size_t Exit = A.size();
-  A.addRI32(RSP, 128);
-  A.pop(R15);
-  A.pop(R14);
-  A.pop(R13);
-  A.pop(R12);
-  A.pop(RBX);
-  A.ret();
-
-  if (!FetchBails.empty()) {
-    for (size_t Pos : FetchBails)
-      A.patchHere(Pos);
-    A.movRI32s(RAX, static_cast<int32_t>(BailFetchOob));
-    A.patch(A.jmp(), Exit);
-  }
-  if (!ExternBails.empty()) {
-    for (size_t Pos : ExternBails)
-      A.patchHere(Pos);
-    A.movRI32s(RAX, static_cast<int32_t>(BailExternFail));
-    A.patch(A.jmp(), Exit);
-  }
-
-  return true;
-}
-
 bool ActionCompiler::compileBlock(uint32_t Block, bool Rec,
                                   uint32_t &CaptureWordsOut) {
   const ExecPlan &P = *Ctx.Plan;
@@ -1015,17 +963,17 @@ bool ActionCompiler::compileBlock(uint32_t Block, bool Rec,
 //
 // One function per cache entry running the entry's whole recorded node
 // tree: per node a two-instruction span-base setup (the span offset is a
-// compile-time constant of the recording) followed by the same instruction
-// templates as per-action code, then direct-threaded control flow — Test
-// nodes compare the accumulated TestValue and branch straight into the
-// successor's block. Edges with no recorded successor, and End nodes,
-// compile to exit stubs returning the exit's index; the caller maps those
-// back to recovery or end-of-step through TraceExitDesc.
+// compile-time constant of the recording) followed by the action's
+// instruction templates (ActionCompiler::emitBody), then direct-threaded
+// control flow — Test nodes compare the accumulated TestValue and branch
+// straight into the successor's block. Edges with no recorded successor,
+// and End nodes, compile to exit stubs returning the exit's index; the
+// caller maps those back to recovery or end-of-step through TraceExitDesc.
 //
-// Register plan extends the per-action one by rbp = overlay data pool base
-// (arriving in rsi; callee-saved so helper calls keep it). r13 becomes a
+// Register plan: the standing rbx/r12/r14/r15 plus rbp = overlay data pool
+// base (arriving in rsi; callee-saved so helper calls keep it). r13 is a
 // per-node span pointer. Prologue: 6 pushes + sub rsp,136 keeps rsp
-// 16-aligned at call sites with the same 128-byte extern scratch.
+// 16-aligned at call sites with a 128-byte extern scratch.
 //===----------------------------------------------------------------------===//
 
 class TraceCompiler {
@@ -1176,18 +1124,6 @@ bool TraceCompiler::compile(const std::vector<TraceNodeDesc> &Nodes,
 }
 
 } // namespace
-
-bool jit::emitAction(const EmitContext &Ctx, uint32_t Action,
-                     std::vector<uint8_t> &Code, uint32_t &WordsOut) {
-  if (!available() || !Ctx.Plan || !Ctx.Image || !Ctx.Hooks.Extern)
-    return false;
-  Asm A;
-  ActionCompiler C(Ctx, A);
-  if (!C.compile(Action, WordsOut))
-    return false;
-  Code = std::move(A.Code);
-  return true;
-}
 
 bool jit::emitBlock(const EmitContext &Ctx, uint32_t Block, bool Recording,
                     std::vector<uint8_t> &Code, uint32_t &CaptureWordsOut) {

@@ -5,25 +5,28 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Copy-and-patch compilation of one action's dynamic-only XInst stream to
-/// native x86-64: one fixed instruction template per XOp, stitched in
-/// stream order with the operand fields patched in as immediates and fixed
-/// displacements. There is no IR and no register allocation — the CVC
-/// observation applies: direct emission over a small opcode set already
-/// removes the whole dispatch-and-decode cost that dominates replay.
+/// Copy-and-patch compilation of XInst streams to native x86-64: one fixed
+/// instruction template per XOp, stitched in stream order with the operand
+/// fields patched in as immediates and fixed displacements. There is no IR
+/// and no register allocation — the CVC observation applies: direct
+/// emission over a small opcode set already removes the whole
+/// dispatch-and-decode cost that dominates replay. Two artifacts come out
+/// of it, one per engine: slow-stream block bodies (emitBlock) and
+/// whole-entry replay traces (emitTrace).
 ///
 /// Register plan (all callee-saved, so helper calls need no spills):
 ///   rbx  JitFrame*              r14  DynGlobals base
 ///   r12  DynSlots base          r15  TestValue accumulator
-///   r13  placeholder Span base
+///   r13  placeholder Span base (traces) / capture cursor (blocks)
+///   rbp  overlay data pool (traces) / StatSlots base (blocks)
 /// rax/rcx/rdx/rsi/rdi/r8-r11 are per-template scratch. The prologue
-/// reserves 128 bytes of stack for extern argument gathering, keeping rsp
-/// 16-aligned at every call site.
+/// reserves stack for extern argument gathering, keeping rsp 16-aligned
+/// at every call site.
 ///
 /// Placeholder reads compile to fixed `Span[K]` displacements: the number
-/// of words an action consumes is a compile-time constant of the plan
-/// (returned as \p WordsOut), which is what makes the caller's
-/// `DataLen == words` structural precheck sufficient.
+/// of words an action consumes is a compile-time constant of the plan,
+/// which is what lets a trace bake each node's span as a fixed offset
+/// once the node's recorded DataLen matched it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,17 +58,6 @@ struct EmitContext {
   std::vector<uint32_t> LocArraySizes;
   JitRuntimeHooks Hooks;
 };
-
-/// Compiles action \p Action into \p Code (relocatable: only rip-relative
-/// jumps internal to the function, all external references are absolute
-/// 64-bit immediates). An out-of-range instruction fetch bails (mirroring
-/// the interpreter's immediate DecodeError). Returns false — emitting nothing
-/// usable — when the stream contains anything the templates cannot express
-/// bit-exactly or any statically invalid operand; the caller then pins the
-/// action to the interpreter. \p WordsOut receives the placeholder words
-/// the compiled stream consumes.
-bool emitAction(const EmitContext &Ctx, uint32_t Action,
-                std::vector<uint8_t> &Code, uint32_t &WordsOut);
 
 /// Compiles the *body* of slow-stream block \p Block (everything up to but
 /// excluding the terminator, which stays in the slow engine) into \p Code:
@@ -113,7 +105,7 @@ struct TraceExitDesc {
 };
 
 /// Compiles a whole entry trace — the node tree a replay can walk — into
-/// one function with the same signature as a compiled action, where \p
+/// one JitFn, where \p
 /// Span is the *overlay data pool base* (per-node spans are fixed offsets
 /// baked at compile time) and the return value is an index into \p Exits
 /// (>= 0) or a bail code (< 0). Returns false when any node's stream is

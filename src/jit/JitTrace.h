@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The second JIT tier: whole cache entries compiled to one native call per
-/// replayed step. Unlike the per-action JitCache (per plan, shared by every
-/// session), traces are bound to one session's ActionCache — they bake node
-/// span offsets and successor links of that cache's arenas — so the trace
-/// cache is per session and single-threaded, owned by that session's Jit
-/// backend.
+/// The replay side's native code: whole cache entries compiled to one
+/// native call per replayed step. Unlike the block-body JitCache (per plan,
+/// shared by every session), traces are bound to one session's ActionCache
+/// — they bake node span offsets and successor links of that cache's arenas
+/// — so the trace cache is per session and single-threaded, owned by that
+/// session's Jit backend.
 ///
 /// Validity is epoch-gated: a trace records the cache's mutation epoch at
 /// compile time and is only dispatched while the epoch still matches.

@@ -3,8 +3,8 @@
 // The two engine-dispatch strategies behind Simulation::step(), plus the
 // runtime-service thunks native code calls out to. The Jit backend owns
 // the per-session jit::JitSession (frame pointers, trip point, counters)
-// and arms Simulation::JitCtx with it; the replay loop in FastEngine.cpp
-// does the actual per-node native dispatch.
+// and arms Simulation::JitCtx with it; the slow engine dispatches compiled
+// block bodies through it and the replay loop dispatches compiled traces.
 //
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +38,23 @@ const char *facile::rt::backendKindName(BackendKind K) {
   return "unknown";
 }
 
+bool facile::rt::parseJitThreshold(const std::string &Text, uint32_t &Out) {
+  if (Text.empty())
+    return false;
+  uint64_t V = 0;
+  for (char C : Text) {
+    if (C < '0' || C > '9')
+      return false;
+    V = V * 10 + static_cast<uint64_t>(C - '0');
+    if (V > UINT32_MAX)
+      return false;
+  }
+  if (V == 0)
+    return false;
+  Out = static_cast<uint32_t>(V);
+  return true;
+}
+
 bool facile::rt::parseBackendKind(const std::string &Name, BackendKind &Out) {
   if (Name == "auto") {
     Out = BackendKind::Auto;
@@ -69,13 +86,13 @@ void ExecBackend::record(EntryId Rec) { Sim.runSlow(Rec, nullptr); }
 void ExecBackend::exportMetrics(telemetry::MetricSink &Sink) const {
   Sink.text("backend", name());
   Sink.flag("available", jit::available());
-  Sink.counter("compiled_actions", 0);
+  Sink.counter("compiled_actions", 0); // always 0; perfbench reads it
   Sink.counter("compiled_blocks", 0);
   Sink.counter("compiled_traces", 0);
   Sink.counter("jit_exec_steps", 0);
   Sink.counter("trace_steps", 0);
   Sink.counter("slow_block_execs", 0);
-  Sink.counter("bailouts", 0);
+  Sink.counter("bailouts", 0); // always 0; perfbench reads it
   Sink.counter("code_bytes", 0);
   Sink.counter("trace_code_bytes", 0);
 }
@@ -117,12 +134,10 @@ public:
 
   void onStateReplaced() override { refreshFrame(); }
   void onCacheRebuilt() override {
-    // Per-action code references no cache arena (spans are resolved per
-    // node by the caller and passed in) and survives; entry traces bake
+    // Block bodies reference no cache arena and survive; entry traces bake
     // node ids and span offsets of the rebuilt arenas and are dropped
     // wholesale.
     Traces.reset();
-    ++CacheRebuilds;
   }
   void onPlanPrivatized() override {
     // Compiled code bakes plan constants as immediates. The caller got a
@@ -137,26 +152,21 @@ public:
   void exportMetrics(telemetry::MetricSink &Sink) const override {
     Sink.text("backend", name());
     Sink.flag("available", true);
-    Sink.counter("compiled_actions", Session.Cache->compiledActions());
+    Sink.counter("compiled_actions", 0); // always 0; perfbench reads it
     Sink.counter("compiled_blocks", Session.Cache->compiledBlocks());
     Sink.counter("compiled_traces", Traces.compiledTraces());
     Sink.counter("jit_exec_steps", Session.JitSteps);
     Sink.counter("trace_steps", Session.TraceSteps);
     Sink.counter("slow_block_execs", Session.SlowBlockExecs);
-    Sink.counter("bailouts", Session.Bailouts);
+    Sink.counter("bailouts", 0); // always 0; perfbench reads it
     Sink.counter("code_bytes", Session.Cache->codeBytes());
     Sink.counter("trace_code_bytes", Traces.codeBytes());
   }
 
   uint64_t compiledActions() const override {
-    // Every tier compiles actions to native code — per-action functions,
-    // slow-path block bodies, and whole-entry traces. Report the total;
-    // exportMetrics keeps the per-tier breakdown. (At low thresholds the
-    // trace tier can absorb every hot entry before a single per-action
-    // visit accrues, so the per-action counter alone may read zero on a
-    // run that is in fact fully JIT-compiled.)
-    return Session.Cache->compiledActions() + Session.Cache->compiledBlocks() +
-           Traces.compiledTraces();
+    // Slow-path block bodies plus whole-entry traces; exportMetrics keeps
+    // the per-tier breakdown.
+    return Session.Cache->compiledBlocks() + Traces.compiledTraces();
   }
 
   // Runtime-service thunks whose addresses the emitter bakes into code
@@ -212,7 +222,6 @@ private:
   std::vector<int64_t *> StatArrayPtrs;
   std::vector<int64_t *> StatLocPtrs;
   bool Disabled = false;
-  uint64_t CacheRebuilds = 0;
 };
 
 } // namespace rt
@@ -222,9 +231,10 @@ JitBackend::JitBackend(Simulation &Sim, jit::JitCache &Cache)
     : ExecBackend(Sim) {
   Session.Cache = &Cache;
   uint32_t T = Sim.Opts.JitThreshold;
+  // The environment override is ignored unless it parses, like FACILE_JIT.
   if (T == Simulation::Options::DefaultJitThreshold)
     if (const char *Env = std::getenv("FACILE_JIT_THRESHOLD"))
-      T = static_cast<uint32_t>(std::strtoul(Env, nullptr, 10));
+      parseJitThreshold(Env, T);
   Session.Threshold = T == 0 ? 1 : T;
   Session.Traces = &Traces;
   refreshFrame();

@@ -7,18 +7,19 @@
 /// \file
 /// The execution-backend seam: one object per Simulation deciding *how*
 /// memoized steps execute. Simulation::step() owns the policy around a step
-/// (keys, INDEX chaining, bypass, eviction, fault framing) and delegates
-/// the engine work — record a cold step, replay a cached entry — to its
-/// backend:
+/// (keys, INDEX chaining, eviction, fault framing) and delegates the engine
+/// work — record a cold step, replay a cached entry — to its backend:
 ///
 ///  - InterpretBackend runs the template-specialized interpreter loops
 ///    exactly as before this seam existed; it is the fallback everywhere
 ///    the template JIT cannot run (non-x86-64 hosts, --jit=off).
-///  - JitBackend additionally arms the replay loop with a jit::JitSession:
-///    hot actions (visit count >= Options::JitThreshold) are compiled to
-///    native code by the plan's jit::JitCache and run natively, with a
-///    structural precheck falling back to the interpreter per node and
-///    bail codes mapping onto the same faults the interpreter raises.
+///  - JitBackend arms both engines with a jit::JitSession, one native tier
+///    per engine, each compiling once its visit count reaches
+///    Options::JitThreshold: the slow engine runs compiled block bodies
+///    from the plan's shared jit::JitCache, and the replay loop runs whole
+///    cache entries as compiled traces from the session's
+///    jit::JitTraceCache. Everything else stays interpreted. A bail code
+///    from native code maps onto the fault the interpreter raises there.
 ///
 /// Both backends record and replay bit-identically — BackendKind never
 /// enters compatKey().
@@ -26,8 +27,8 @@
 /// The three on*() hooks are the invalidation contract (INTERNALS.md "JIT
 /// backend"): compiled code bakes plan and image constants plus raw state
 /// pointers, so the owner must be told when state vectors are replaced
-/// (refresh the frame), when the cache arenas are rebuilt (re-resolved
-/// per node, so only counted), and when the plan is privatized for
+/// (refresh the frame), when the cache arenas are rebuilt (entry traces
+/// bake arena offsets and are dropped), and when the plan is privatized for
 /// mutation (native code for the old plan must never run again).
 ///
 //===----------------------------------------------------------------------===//
@@ -62,13 +63,12 @@ public:
 
   /// Replays cache entry \p Entry (looked up under \p Key) through the
   /// fast simulator. The base implementation is the interpreter replay;
-  /// JitBackend keeps it too — native dispatch happens per node inside
-  /// the loop, not per step — but overrides exist for symmetry with
-  /// record() and for future backends.
+  /// JitBackend first counts the replay toward the entry's trace and then
+  /// runs the same loop, which dispatches a published trace.
   virtual Simulation::ReplayResult replay(EntryId Entry, KeyId Key);
 
-  /// Records one step through the slow simulator (\p Rec may be NoId for
-  /// unrecorded slow steps: memoization off, or bypass active).
+  /// Records one step through the slow simulator (\p Rec is NoId for
+  /// unrecorded slow steps, i.e. memoization off).
   virtual void record(EntryId Rec);
 
   //===-- Invalidation hooks -------------------------------------------------
@@ -92,10 +92,10 @@ public:
   /// the statsJson schema is identical across backends.
   virtual void exportMetrics(telemetry::MetricSink &Sink) const;
 
-  /// Action artifacts compiled to native code so far across all tiers
-  /// (per-action functions + block bodies + entry traces; 0 on the
-  /// interpreter) — the cheap programmatic probe for "did the JIT
-  /// actually engage". The metric group keeps the per-tier breakdown.
+  /// Artifacts compiled to native code so far across both tiers (block
+  /// bodies + entry traces; 0 on the interpreter) — the cheap programmatic
+  /// probe for "did the JIT actually engage". The metric group keeps the
+  /// per-tier breakdown.
   virtual uint64_t compiledActions() const { return 0; }
 
 protected:

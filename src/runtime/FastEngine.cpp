@@ -34,7 +34,6 @@
 
 #include "src/runtime/Simulation.h"
 
-#include "src/jit/JitCache.h"
 #include "src/jit/JitTrace.h"
 #include "src/telemetry/Profiler.h"
 
@@ -70,12 +69,11 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
   uint32_t NodeIdx = Cache.entry(Entry).Head;
   uint64_t IncomingTag = ActionCache::headTag(Key);
   bool ExecutedAny = false;
-  bool AnyNative = false; ///< >=1 node ran as compiled code this step
+  bool AnyNative = false; ///< a trace ran part of this step
   uint32_t Walked = 0;
   uint64_t ProfNodes = 0; ///< nodes walked this step (Profiled only)
   int64_t ArgBuf[16];
-  // Armed only by the Jit backend; hoisted so the per-node cost of the
-  // Interpret backend is one dead pointer test.
+  // Armed only by the Jit backend.
   jit::JitSession *const Jit = JitCtx;
 
   // Routes a detected corruption: before any node executed the step can be
@@ -98,7 +96,7 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
   // trace never runs over state the interpreter would have re-verified
   // (compilation itself verified every seal it baked). Profiled steps stay
   // interpreted so sampling still sees nodes.
-  if (!Profiled && Jit && Jit->Traces) {
+  if (!Profiled && Jit) {
     if (jit::JitTraceCache::Trace *T =
             Jit->Traces->find(Entry, Cache.mutationEpoch())) {
       Jit->Frame.BaseData = BData;
@@ -195,38 +193,6 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
                          static_cast<uint64_t>(End - IP), N.DataLen);
       ++ProfNodes;
     }
-    // Template-JIT dispatch: hot actions run as native code. The
-    // structural precheck (the node's span is exactly the word count the
-    // code was compiled for) is what lets compiled code index Span with
-    // fixed displacements; a mismatch is a bailout to the interpreter
-    // below, never a divergence. Negative returns are bails for
-    // conditions that fault in the interpreter too (JitAbi.h), so a
-    // bailed node is never re-run.
-    bool Native = false;
-    if (Jit && IP != End) {
-      const uint32_t Action = static_cast<uint32_t>(N.ActionId);
-      if (jit::JitFn Fn = Jit->Cache->fn(Action)) {
-        if (N.DataLen == Jit->Cache->words(Action)) {
-          int64_t R = Fn(&Jit->Frame, Span);
-          if (R < 0) {
-            if (R == jit::BailFetchOob)
-              raiseFault(FaultKind::DecodeError,
-                         "instruction fetch outside the text segment");
-            // BailExternFail: externCall already raised inside the thunk.
-            return ReplayResult::Faulted;
-          }
-          TestValue = R;
-          DataPos = N.DataLen;
-          Native = true;
-          AnyNative = true;
-        } else {
-          ++Jit->Bailouts;
-        }
-      } else {
-        Jit->Cache->noteVisit(Action, Jit->Threshold);
-      }
-    }
-    if (!Native)
     for (; IP != End; ++IP) {
       const XInst &I = *IP;
       auto readOperand = [&](uint32_t Slot, unsigned Pos) -> int64_t {
@@ -384,7 +350,7 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
       PendingEndNode = NodeIdx;
       if (Profiled)
         Profiler->noteStep(ProfNodes, /*Replayed=*/true);
-      if (Jit && AnyNative)
+      if (AnyNative)
         ++Jit->JitSteps;
       return ReplayResult::Replayed;
     case ActionNode::Kind::Plain:

@@ -1,7 +1,7 @@
 //===- RuntimeMetrics.cpp - Runtime metric export --------------------------===//
 //
 // exportMetrics/registerMetrics for the runtime's statistics: the
-// Simulation step counters and its fault/guard/bypass views, and the
+// Simulation step counters and its fault/guard/jit views, and the
 // ActionCache bookkeeping plus live geometry. Kept out of the engine
 // translation units so the hot headers never see the telemetry types —
 // Simulation.h and ActionCache.h only forward-declare MetricSink and
@@ -42,11 +42,6 @@ void Simulation::registerMetrics(telemetry::MetricsRegistry &R) const {
   R.add("guard", [this](telemetry::MetricSink &Sink) {
     Sink.counter("faults", S.Faults);
     Sink.counter("corrupt_dropped", S.CorruptDropped);
-  });
-  R.add("bypass", [this](telemetry::MetricSink &Sink) {
-    Sink.flag("active", BypassActive);
-    Sink.counter("activations", S.BypassActivations);
-    Sink.counter("bypassed_steps", S.BypassedSteps);
   });
   R.add("jit", [this](telemetry::MetricSink &Sink) {
     Backend->exportMetrics(Sink);

@@ -16,7 +16,6 @@
 #include "src/telemetry/Profiler.h"
 #include "src/telemetry/Trace.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -33,15 +32,6 @@ namespace {
   std::fprintf(stderr, "facile runtime: %s\n", Msg);
   std::abort();
 }
-
-/// Adaptive-bypass tuning (Options::AdaptiveBypass). Percentages are of
-/// the window's memoized steps that were not fully replayed.
-namespace bypass {
-constexpr uint64_t WindowSteps = 1024;  ///< steps per observation window
-constexpr uint64_t TripPct = 75;        ///< trip at or above this
-constexpr uint64_t HealthyPct = 25;     ///< reset escalation at or below this
-constexpr uint64_t CooldownSteps = 4096; ///< base bypassed steps per trip
-} // namespace bypass
 
 } // namespace
 
@@ -423,8 +413,6 @@ void Simulation::serializeState(snapshot::Writer &W) const {
   W.u64(S.PlaceholderWords);
   W.u64(S.Faults);
   W.u64(S.CorruptDropped);
-  W.u64(S.BypassActivations);
-  W.u64(S.BypassedSteps);
   W.u8(HaltFlag ? 1 : 0);
   W.i64Vec(DynSlots);
   W.i64Vec(DynGlobals);
@@ -449,8 +437,6 @@ bool Simulation::deserializeState(snapshot::Reader &R) {
   NewS.PlaceholderWords = R.u64();
   NewS.Faults = R.u64();
   NewS.CorruptDropped = R.u64();
-  NewS.BypassActivations = R.u64();
-  NewS.BypassedSteps = R.u64();
   uint8_t Halt = R.u8();
   if (!R.ok() || Halt > 1)
     return false;
@@ -488,13 +474,8 @@ bool Simulation::deserializeState(snapshot::Reader &R) {
   StatArrays = std::move(NewStatArrays);
   StatLocalArrays = std::move(NewStatLocalArrays);
   // The INDEX chain points into the action cache of the *previous* run;
-  // re-intern from scratch on the next step. The bypass heuristic is
-  // transient and restarts observation from a fresh window.
+  // re-intern from scratch on the next step.
   PendingEndNode = ActionNode::NoNode;
-  BypassActive = false;
-  BypassTrips = 0;
-  WinSteps = WinNonFast = 0;
-  WinClearBase = Cache.stats().Clears;
   // The move-assignments above relocated every dynamic-state vector; a
   // backend holding raw data pointers must re-snapshot them.
   Backend->onStateReplaced();
@@ -602,19 +583,6 @@ StepEngine Simulation::step() {
     return finishStep(StepEngine::Slow);
   }
 
-  // Adaptive bypass: while tripped, run the slow simulator unrecorded —
-  // the cache is thrashing and recording would only churn it further.
-  if (BypassActive) {
-    if (S.Steps < BypassUntil) {
-      Backend->record(NoId);
-      ++S.BypassedSteps;
-      return finishStep(StepEngine::Slow);
-    }
-    BypassActive = false; // cooldown over: observe a fresh window
-    WinSteps = WinNonFast = 0;
-    WinClearBase = Cache.stats().Clears;
-  }
-
   ProfArmed = Profiler && Profiler->armStep();
 
   serializeKeyInto(KeyBuf);
@@ -676,8 +644,6 @@ StepEngine Simulation::step() {
     PendingEndNode = ActionNode::NoNode;
     Backend->onCacheRebuilt();
   }
-  if (Opts.AdaptiveBypass)
-    noteWindowForBypass(Engine);
   return finishStep(Engine);
 }
 
@@ -746,37 +712,6 @@ void Simulation::flushTraceSpan() {
                OpenStartUs, Tracer->nowUs(), OpenSteps);
   OpenKind = NoOpenSpan;
   OpenSteps = 0;
-}
-
-void Simulation::noteWindowForBypass(StepEngine Engine) {
-  ++WinSteps;
-  if (Engine != StepEngine::Fast)
-    ++WinNonFast;
-  if (WinSteps < bypass::WindowSteps)
-    return;
-  uint64_t ClearsNow = Cache.stats().Clears;
-  // Trip only on the thrashing signature: the window was dominated by
-  // non-replayed steps *and* the cache was cleared inside it. The second
-  // condition keeps cold warm-up (100% slow, no clears) from tripping.
-  if (ClearsNow > WinClearBase &&
-      WinNonFast * 100 >= WinSteps * bypass::TripPct) {
-    BypassActive = true;
-    ++S.BypassActivations;
-    BypassUntil =
-        S.Steps + (bypass::CooldownSteps << std::min<uint32_t>(BypassTrips, 6));
-    if (Tracer) {
-      flushTraceSpan();
-      Tracer->instant("bypass", "trip", "cooldown_steps",
-                      BypassUntil - S.Steps);
-    }
-    if (BypassTrips < 31)
-      ++BypassTrips;
-    PendingEndNode = ActionNode::NoNode;
-  } else if (WinNonFast * 100 <= WinSteps * bypass::HealthyPct) {
-    BypassTrips = 0; // hysteresis: a healthy window forgives past trips
-  }
-  WinSteps = WinNonFast = 0;
-  WinClearBase = ClearsNow;
 }
 
 RunResult Simulation::run(uint64_t MaxSteps) {

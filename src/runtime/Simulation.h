@@ -64,13 +64,17 @@ class ExecBackend;
 enum class BackendKind : uint8_t {
   Auto,      ///< Jit where the template JIT is available, else Interpret
   Interpret, ///< the template-specialized interpreter loops only
-  Jit,       ///< native code for hot actions, interpreter for the rest
+  Jit,       ///< native code for hot blocks and entries, interpreter for
+             ///< the rest
 };
 
 const char *backendKindName(BackendKind K);
 /// Parses a backend spelling: "auto", "interpret", "jit" (plus the flag
 /// aliases "on" -> Jit and "off" -> Interpret). False on anything else.
 bool parseBackendKind(const std::string &Name, BackendKind &Out);
+/// Parses a JIT threshold: a positive decimal count that fits uint32_t,
+/// digits only. False (leaving \p Out untouched) on anything else.
+bool parseJitThreshold(const std::string &Text, uint32_t &Out);
 
 /// Host-provided implementation of an `extern` function. Returning
 /// std::nullopt reports a host-side failure, which the runtime surfaces as
@@ -103,23 +107,18 @@ public:
     /// TargetMemory resident-page cap (MemoryBudgetExceeded). 0 = none.
     size_t MemPageBudget = 0;
 
-    /// Adaptive memoization bypass: when a sliding window of steps shows
-    /// the cache thrashing (mostly non-fast steps *and* at least one clear
-    /// inside the window), stop recording/replaying for a cooldown period
-    /// and run the slow simulator unrecorded. Repeated trips double the
-    /// cooldown (capped); a healthy window resets the escalation. The
-    /// window, thresholds and cooldown are constants in Simulation.cpp.
-    bool AdaptiveBypass = true;
-
     /// Execution backend (ExecBackend.h). Auto resolves to Jit on hosts
     /// where the template JIT runs (x86-64 with mmap; the FACILE_JIT
     /// environment variable overrides Auto), else Interpret. An explicit
     /// Jit request degrades to Interpret when unsupported — never an
     /// error. Does not affect compatKey().
     BackendKind Backend = BackendKind::Auto;
-    /// Interpreted replay visits of an action before the Jit backend
-    /// compiles it. When left at the default, the FACILE_JIT_THRESHOLD
-    /// environment variable overrides it (harness-wide experiments).
+    /// Visits before the Jit backend compiles native code: interpreted
+    /// executions of a slow-stream block before its body compiles, and
+    /// replays of a cache entry before its trace compiles. When left at the
+    /// default, the FACILE_JIT_THRESHOLD environment variable overrides it
+    /// (harness-wide experiments); a value parseJitThreshold() refuses is
+    /// ignored.
     static constexpr uint32_t DefaultJitThreshold = 32;
     uint32_t JitThreshold = DefaultJitThreshold;
   };
@@ -134,8 +133,7 @@ public:
     uint64_t PlaceholderWords = 0;
     uint64_t Faults = 0;         ///< structured faults raised
     uint64_t CorruptDropped = 0; ///< corrupt entries detached, step ran cold
-    uint64_t BypassActivations = 0; ///< adaptive-bypass trips
-    uint64_t BypassedSteps = 0;     ///< steps run unrecorded while bypassed
+    uint64_t BypassedSteps = 0; ///< always 0; perfbench reads it
 
     /// Table 1's metric: fraction of instructions simulated by the fast
     /// simulator.
@@ -174,9 +172,9 @@ public:
   /// "backend":"auto" request actually got.
   const char *backendName() const;
 
-  /// Actions the backend has compiled to native code (always 0 on the
-  /// interpreter): the programmatic "did the JIT engage" probe used by
-  /// benches and CI smoke checks.
+  /// Native artifacts the backend has compiled — block bodies plus entry
+  /// traces (always 0 on the interpreter): the programmatic "did the JIT
+  /// engage" probe used by benches and CI smoke checks.
   uint64_t jitCompiledActions() const;
 
   /// Installs the handler for extern \p Name. Returns false (installing
@@ -222,7 +220,6 @@ public:
   /// target state and finds it undecodable).
   void raiseFault(FaultKind Kind, const char *Detail);
   void setStepLimit(uint64_t Limit) { Opts.StepLimit = Limit; }
-  bool bypassActive() const { return BypassActive; }
 
   /// Fault-injection hook: consulted before every extern dispatch with the
   /// extern id; returning true fails the call (ExternFailure fault).
@@ -262,7 +259,7 @@ public:
   /// Attaches \p T (null detaches, flushing the open span). Cost while
   /// null: one pointer test per step. Enabled tracing reads the clock only
   /// at engine transitions — consecutive same-engine steps merge into one
-  /// span — plus one read per instant (eviction, fault, bypass trip).
+  /// span — plus one read per instant (eviction, fault).
   void setTracer(telemetry::EventTracer *T);
   telemetry::EventTracer *tracer() const { return Tracer; }
   /// Closes the currently open merged step span, if any. Hosts call this
@@ -281,7 +278,7 @@ public:
 
   /// Registers this simulation's canonical metric groups, in statsJson()
   /// schema order: the top-level step counters (empty group), then
-  /// "fault", "guard", "bypass" and "cache". The registry must not
+  /// "fault", "guard", "jit" and "cache". The registry must not
   /// outlive this simulation (RuntimeMetrics.cpp).
   void registerMetrics(telemetry::MetricsRegistry &R) const;
   /// Mutable internals for the fault injector (inject::FaultInjector) and
@@ -400,8 +397,6 @@ private:
   /// raised (unregistered handler, injected failure, or the handler
   /// returned nullopt); \p Out is untouched then.
   bool externCall(const XInst &I, const int64_t *Args, int64_t &Out);
-  /// Per-window bypass accounting, called once per memoized step.
-  void noteWindowForBypass(StepEngine Engine);
   /// Merges this step into the open trace span (Tracer is non-null).
   void noteStepForTrace(StepEngine Engine);
   /// Post-step resource-guard check; may turn \p Engine into Faulted.
@@ -427,9 +422,9 @@ private:
   /// Non-null for the SharedProgram constructor: where a Jit backend
   /// finds the process-shared code cache for the shared plan.
   const SharedProgram *SharedProg = nullptr;
-  /// Armed by the Jit backend, consulted per node by the replay loop;
-  /// null means replay never looks at the JIT (the Interpret backend's
-  /// only cost is this one pointer test per node).
+  /// Armed by the Jit backend, consulted once per step by the replay loop
+  /// and per block by the slow engine; null means neither engine looks at
+  /// the JIT.
   jit::JitSession *JitCtx = nullptr;
   /// The private code cache of owned-plan (or privatized) simulations.
   std::unique_ptr<jit::JitCache> OwnedJitCache;
@@ -470,14 +465,6 @@ private:
   uint8_t OpenKind = NoOpenSpan; ///< StepEngine of the open span
   uint64_t OpenStartUs = 0;
   uint64_t OpenSteps = 0;
-
-  // Adaptive-bypass state machine (Options::AdaptiveBypass).
-  bool BypassActive = false;
-  uint64_t BypassUntil = 0;   ///< lifetime step count to resume memoizing at
-  uint32_t BypassTrips = 0;   ///< consecutive trips (cooldown escalation)
-  uint64_t WinSteps = 0;      ///< memoized steps in the current window
-  uint64_t WinNonFast = 0;    ///< of those, not fully replayed
-  uint64_t WinClearBase = 0;  ///< cache clears at window start
 
   /// INDEX chaining (paper Figure 9): the End node reached by the previous
   /// step. When its recorded NextKey's bytes match the current init

@@ -932,8 +932,6 @@ std::string FacileServer::Impl::verbCreate(const json::Value &Req,
     if (const json::Value *V = O->get("mem_budget_mb"))
       SimOpts.MemPageBudget =
           (static_cast<size_t>(V->intOr(0)) << 20) >> TargetMemory::PageBits;
-    if (const json::Value *V = O->get("adaptive_bypass"))
-      SimOpts.AdaptiveBypass = V->boolOr(SimOpts.AdaptiveBypass);
   }
   // Execution backend for memoized replay (default auto). Unknown values
   // get their own stable code: a client probing for JIT support can tell

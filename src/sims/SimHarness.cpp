@@ -393,11 +393,12 @@ void FacileSim::registerMetrics(telemetry::MetricsRegistry &R) const {
   // telemetry) only ever append or prepend — existing consumers key by
   // name and must keep parsing. Schema v3 removed guard.enabled,
   // cache.evictions and cache.evicted_entries along with unguarded replay
-  // and the LRU-half eviction policy.
+  // and the LRU-half eviction policy; schema v4 removed the bypass group
+  // along with adaptive memoization bypass.
   R.add("", [](telemetry::MetricSink &Sink) {
-    Sink.counter("schema_version", 3);
+    Sink.counter("schema_version", 4);
   });
-  Sim.registerMetrics(R); // steps..., fault, guard, bypass, cache
+  Sim.registerMetrics(R); // steps..., fault, guard, jit, cache
   R.add("snapshot", [this](telemetry::MetricSink &Sink) {
     SnapStats.exportMetrics(Sink);
   });

@@ -86,13 +86,14 @@ public:
   /// Since schema_version 2 this is a thin walk over registerMetrics()
   /// rendered by telemetry::JsonMetricSink. Schema 3 dropped the three
   /// keys of the removed modes (guard.enabled, cache.evictions,
-  /// cache.evicted_entries); every other pre-v2 key survives.
+  /// cache.evicted_entries) and schema 4 the bypass group; every other
+  /// pre-v2 key survives.
   std::string statsJson() const;
 
   //===-- Telemetry ----------------------------------------------------------
 
   /// Registers the full statsJson() schema: schema_version, the
-  /// simulation's groups (fault/guard/bypass/cache), "snapshot", "passes",
+  /// simulation's groups (fault/guard/jit/cache), "snapshot", "passes",
   /// the "branch" and "mem" uarch groups, and — when attached — "profile"
   /// and "telemetry". The registry must not outlive this instance.
   void registerMetrics(telemetry::MetricsRegistry &R) const;

@@ -48,7 +48,7 @@ namespace facile {
 namespace snapshot {
 
 /// Bumped whenever the container or any payload layout changes.
-inline constexpr uint32_t FormatVersion = 3;
+inline constexpr uint32_t FormatVersion = 4;
 
 /// What a container holds.
 enum class PayloadKind : uint32_t {

@@ -24,6 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <dirent.h>
@@ -372,14 +375,13 @@ TEST(Differential, StoreBackedMatchesOwnedCache) {
 
 TEST(Differential, JitMatchesInterpreter) {
   // The template-JIT backend is an execution strategy, not a semantics: a
-  // run dispatched through compiled actions, block bodies and entry traces
-  // must be bit-identical to the interpreting backend — same architectural
-  // state, same memory digest, and the same step accounting (Steps,
-  // FastSteps, Misses, RetiredTotal, Cycles), since the JIT sits below the
+  // run dispatched through compiled block bodies and entry traces must be
+  // bit-identical to the interpreting backend — same architectural state,
+  // same memory digest, and the same step accounting (Steps, FastSteps,
+  // Misses, RetiredTotal, Cycles), since the JIT sits below the
   // memoization layer and never changes which engine a step takes. Runs
-  // every simulator over both workloads, memo on and off; memo-off also
-  // proves that forcing Backend=Jit with nothing to compile degrades
-  // cleanly instead of erroring.
+  // every simulator over both workloads, memo on and off; memo-off runs
+  // only the record-side tier, since nothing is ever replayed.
   if (!jit::available())
     GTEST_SKIP() << "no template-JIT backend on this host";
   for (SimKind Kind :
@@ -420,4 +422,44 @@ TEST(Differential, JitMatchesInterpreter) {
       }
     }
   }
+}
+
+TEST(JitThreshold, ParsesOnlyPositiveDecimalCounts) {
+  uint32_t T = 7;
+  EXPECT_TRUE(rt::parseJitThreshold("1", T));
+  EXPECT_EQ(T, 1u);
+  EXPECT_TRUE(rt::parseJitThreshold("4294967295", T));
+  EXPECT_EQ(T, 4294967295u);
+  for (const char *Bad : {"", "0", "-1", "+5", " 5", "5 ", "abc", "12abc",
+                          "4294967296", "99999999999999999999"}) {
+    T = 7;
+    EXPECT_FALSE(rt::parseJitThreshold(Bad, T)) << "'" << Bad << "'";
+    EXPECT_EQ(T, 7u) << "'" << Bad << "'";
+  }
+}
+
+// An unparsable FACILE_JIT_THRESHOLD is ignored, like an unparsable
+// FACILE_JIT: "-1" must not wrap to a threshold no visit count reaches,
+// which would leave a "jit" backend that never compiles anything.
+TEST(JitThreshold, BadEnvironmentValueIsIgnored) {
+  if (!jit::available())
+    GTEST_SKIP() << "no template-JIT backend on this host";
+  const char *Prev = std::getenv("FACILE_JIT_THRESHOLD");
+  std::optional<std::string> Saved;
+  if (Prev)
+    Saved = Prev;
+  isa::TargetImage Image = workload::generate(testWorkloads()[0], 2);
+  rt::Simulation::Options Jit;
+  Jit.Backend = rt::BackendKind::Jit; // default threshold: env consulted
+  for (const char *Bad : {"-1", "abc", "0", "4294967296"}) {
+    SCOPED_TRACE(Bad);
+    ::setenv("FACILE_JIT_THRESHOLD", Bad, 1);
+    FinalState J = runOne(SimKind::Functional, Image, Jit, 200'000);
+    EXPECT_EQ(J.BackendName, "jit");
+    EXPECT_GT(J.CompiledActions, 0u);
+  }
+  if (Saved)
+    ::setenv("FACILE_JIT_THRESHOLD", Saved->c_str(), 1);
+  else
+    ::unsetenv("FACILE_JIT_THRESHOLD");
 }

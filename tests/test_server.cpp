@@ -230,11 +230,13 @@ TEST_F(ServerTest, BadCreateArgumentsAreRejected) {
   EXPECT_EQ(Srv->get("active_sessions")->intOr(-1), 0);
   EXPECT_EQ(Srv->get("sessions_created")->intOr(-1), 0);
 
-  // The retired guards/eviction options are unknown fields now, ignored
-  // like any other: an older client that still sends them gets a session.
+  // The retired guards/eviction/adaptive_bypass options are unknown fields
+  // now, ignored like any other: an older client that still sends them
+  // gets a session.
   EXPECT_TRUE(isOk(rpc(C, R"({"id":7,"verb":"create","sim":"functional",)"
                           R"("workload":"compress","options":)"
-                          R"({"guards":false,"eviction":"segmented"}})")));
+                          R"({"guards":false,"eviction":"segmented",)"
+                          R"("adaptive_bypass":true}})")));
 }
 
 TEST_F(ServerTest, CreateBackendFieldResolvedAndEchoed) {

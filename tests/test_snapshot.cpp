@@ -202,18 +202,21 @@ TEST(Container, RejectsWrongMagicKindAndCompat) {
                                      Out, Err),
             snapshot::LoadStatus::BadFormat);
 
-  // A well-formed container of the previous format version (header CRC
+  // Well-formed containers of every earlier format version (header CRC
   // recomputed, so only the version differs): an older file is a clean
-  // format rejection, never corruption.
-  std::vector<uint8_t> OldVersion = Img;
-  uint32_t Prev = snapshot::FormatVersion - 1;
-  std::memcpy(OldVersion.data() + 8, &Prev, 4);
-  uint32_t Crc = snapshot::crc32(OldVersion.data(), 28);
-  std::memcpy(OldVersion.data() + 28, &Crc, 4);
-  EXPECT_EQ(snapshot::parseContainer(OldVersion.data(), OldVersion.size(),
-                                     snapshot::PayloadKind::Checkpoint, 0x1234,
-                                     Out, Err),
-            snapshot::LoadStatus::BadFormat);
+  // format rejection, never corruption. Version 3 is the last whose
+  // checkpoints carried the adaptive-bypass counters.
+  for (uint32_t Old = 1; Old != snapshot::FormatVersion; ++Old) {
+    std::vector<uint8_t> OldVersion = Img;
+    std::memcpy(OldVersion.data() + 8, &Old, 4);
+    uint32_t Crc = snapshot::crc32(OldVersion.data(), 28);
+    std::memcpy(OldVersion.data() + 28, &Crc, 4);
+    EXPECT_EQ(snapshot::parseContainer(OldVersion.data(), OldVersion.size(),
+                                       snapshot::PayloadKind::Checkpoint,
+                                       0x1234, Out, Err),
+              snapshot::LoadStatus::BadFormat)
+        << "version " << Old;
+  }
 
   // Valid container, but the caller wants the other payload kind.
   EXPECT_EQ(snapshot::parseContainer(Img.data(), Img.size(),

@@ -275,8 +275,10 @@ TEST(EventTracer, DisabledHooksRecordNothing) {
 
 /// Every key statsJson() emitted before schema_version 2 existed, minus
 /// the three schema 3 removed with unguarded replay and LRU-half eviction
-/// (guard.enabled, cache.evictions, cache.evicted_entries). The export
-/// path must keep all of them.
+/// (guard.enabled, cache.evictions, cache.evicted_entries) and the bypass
+/// group schema 4 removed with adaptive bypass (bypass.active,
+/// bypass.activations, bypass.bypassed_steps). The export path must keep
+/// all of them.
 const char *const PreV2Keys[] = {
     "steps",          "fast_steps",
     "misses",         "retired_total",
@@ -286,9 +288,7 @@ const char *const PreV2Keys[] = {
     "step",           "pc",
     "detail",         "guard",
     "faults",         "corrupt_dropped",
-    "bypass",
-    "active",         "activations",
-    "bypassed_steps", "cache",
+    "cache",
     "lookups",        "hits",
     "entries_created", "keys_interned",
     "clears",         "probe_total",
@@ -318,11 +318,13 @@ TEST(TelemetryIntegration, StatsJsonRetainsPreV2KeysForAllSimulators) {
     Sim.run(60'000);
     std::string Json = Sim.statsJson();
     ASSERT_TRUE(validJson(Json)) << Json;
-    EXPECT_TRUE(hasKey(Json, "schema_version"));
+    EXPECT_NE(Json.find("\"schema_version\":4"), std::string::npos);
     for (const char *K : PreV2Keys)
       EXPECT_TRUE(hasKey(Json, K)) << K << " missing in " << Json;
     for (const char *K : {"evictions", "evicted_entries"})
       EXPECT_FALSE(hasKey(Json, K)) << K << " retired in schema 3";
+    for (const char *K : {"bypass", "activations", "bypassed_steps"})
+      EXPECT_FALSE(hasKey(Json, K)) << K << " retired in schema 4";
   }
 }
 

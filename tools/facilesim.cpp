@@ -90,17 +90,14 @@ int main(int Argc, char **Argv) {
              return true;
            });
   P.custom("jit-threshold", "<n>",
-           "replays before an action is compiled\n(default 32)",
+           "visits before a block body or an entry trace\nis compiled "
+           "(default 32)",
            [&Opts](const std::string &V, std::string &Err) {
-             char *End = nullptr;
-             uint64_t N = std::strtoull(V.c_str(), &End, 10);
-             if (V.empty() || End != V.c_str() + V.size() || N == 0 ||
-                 N > UINT32_MAX) {
+             if (!rt::parseJitThreshold(V, Opts.JitThreshold)) {
                Err = "--jit-threshold takes a positive count, not '" + V +
                      "'";
                return false;
              }
-             Opts.JitThreshold = static_cast<uint32_t>(N);
              return true;
            });
   P.str("save-checkpoint", SaveCkpt, "<file>",

@@ -117,17 +117,15 @@ int main(int argc, char **argv) {
              return true;
            });
   P.custom("jit-threshold", "<n>",
-           "replays before an action is compiled\n(default 32)",
+           "visits before a block body or an entry trace\nis compiled "
+           "(default 32)",
            [&Opts](const std::string &V, std::string &Err) {
-             char *End = nullptr;
-             uint64_t N = std::strtoull(V.c_str(), &End, 10);
-             if (V.empty() || End != V.c_str() + V.size() || N == 0 ||
-                 N > UINT32_MAX) {
+             uint32_t &T = Opts.DefaultSimOptions.JitThreshold;
+             if (!rt::parseJitThreshold(V, T)) {
                Err = "--jit-threshold takes a positive count, not '" + V +
                      "'";
                return false;
              }
-             Opts.DefaultSimOptions.JitThreshold = static_cast<uint32_t>(N);
              return true;
            });
   P.u64("default-deadline-ms", Opts.DefaultDeadlineMs, "<n>",
