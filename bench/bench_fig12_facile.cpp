@@ -111,8 +111,8 @@ int main(int Argc, char **Argv) {
     double TelemetryOverheadPct = (KipsMemo / KipsMemoT - 1.0) * 100.0;
     TelemetryOverheads.push_back(TelemetryOverheadPct);
 
-    // Template-JIT configuration: identical work to Memo, with hot block
-    // bodies and entries compiled to native code. Threshold 1 compiles on
+    // Template-JIT configuration: identical work to Memo, with hot
+    // slow-engine regions and entries compiled to native code. Threshold 1 compiles on
     // first visit — the budgets here are far below production run
     // lengths, so the default warm-up threshold would understate
     // steady-state gain.
@@ -142,7 +142,10 @@ int main(int Argc, char **Argv) {
       JitCompiledActions += MemoJ.sim().jitCompiledActions();
     }
 
-    rt::Simulation::Options Off;
+    // The unmemoized baseline runs on the same (interpreting) backend as
+    // kips_memo, so memo/no-memo compares memoization alone; on Auto the
+    // JIT's native slow-engine regions would speed up only this side.
+    rt::Simulation::Options Off = MemoOpts;
     Off.Memoize = false;
     FacileSim NoMemo(SimKind::OutOfOrder, Image, Off);
     double TNo = timeIt([&] { NoMemo.run(SlowBudget); });
@@ -213,7 +216,7 @@ int main(int Argc, char **Argv) {
               MeanTelemetry);
   if (RunJit)
     std::printf("template-JIT backend: geomean %.3fx vs interpreting "
-                "backend over %zu workloads, %llu blocks+traces compiled, "
+                "backend over %zu workloads, %llu regions+traces compiled, "
                 "digests %s\n",
                 JitGeomean, JitSpeedups.size(),
                 (unsigned long long)JitCompiledActions,

@@ -18,6 +18,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <memory>
+#include <string>
 
 using namespace facile;
 
@@ -36,6 +38,27 @@ const isa::TargetImage &loopImage() {
       bne r1, r0, loop
       halt
   )");
+  return Image;
+}
+
+/// A straight-line program long enough that a memoized out-of-order run
+/// never revisits a key within a benchmark's iterations: every step fetches
+/// a pc it has not fetched before, so every step records a fresh cache
+/// entry — the cold-recording half of a cold run, without its replays.
+const isa::TargetImage &straightLineImage() {
+  static const isa::TargetImage Image = [] {
+    std::string Text = "main:\n";
+    for (int I = 0; I != 1 << 17; ++I) {
+      const int Rd = 1 + I % 7, Rs = 1 + (I + 3) % 7;
+      Text += I % 3 == 0 ? "add r" + std::to_string(Rd) + ", r" +
+                               std::to_string(Rs) + ", r" + std::to_string(Rd)
+                         : "addi r" + std::to_string(Rd) + ", r" +
+                               std::to_string(Rs) + ", " + std::to_string(I % 97);
+      Text += "\n";
+    }
+    Text += "halt\n";
+    return *isa::assemble(Text);
+  }();
   return Image;
 }
 
@@ -156,16 +179,47 @@ void BM_FacileFastStep(benchmark::State &State) {
 }
 BENCHMARK(BM_FacileFastStep)->ArgName("jit")->Arg(0)->Arg(1);
 
+/// One slow-engine step: memo:0 executes without recording (the loop
+/// program), memo:1 records a fresh entry per step (the straight-line
+/// program; fresh_pct reports the share of steps that created an entry).
+/// jit:1 runs the compiled regions, jit:0 interprets every block.
 void BM_FacileSlowStep(benchmark::State &State) {
-  rt::Simulation::Options Off;
-  Off.Memoize = false;
-  sims::FacileSim Sim(sims::SimKind::OutOfOrder, loopImage(), Off);
-  Sim.run(5'000);
-  for (auto _ : State)
-    Sim.sim().step();
+  rt::Simulation::Options Opts;
+  Opts.Backend =
+      State.range(0) ? rt::BackendKind::Jit : rt::BackendKind::Interpret;
+  Opts.Memoize = State.range(1) != 0;
+  Opts.CacheBudgetBytes = 64u << 20; // clears now and then, like a cold run
+  const isa::TargetImage &Image =
+      Opts.Memoize ? straightLineImage() : loopImage();
+  auto Start = [&] {
+    auto Sim = std::make_unique<sims::FacileSim>(sims::SimKind::OutOfOrder,
+                                                 Image, Opts);
+    Sim->run(5'000); // past start-up (and region compilation)
+    return Sim;
+  };
+  std::unique_ptr<sims::FacileSim> Sim = Start();
+  State.SetLabel(Sim->sim().backendName());
+  uint64_t Steps = 0, Created = 0;
+  for (auto _ : State) {
+    if (Sim->sim().halted()) { // ran off the straight-line program
+      State.PauseTiming();
+      Steps += Sim->sim().stats().Steps;
+      Created += Sim->sim().cache().stats().EntriesCreated;
+      Sim = Start();
+      State.ResumeTiming();
+    }
+    Sim->sim().step();
+  }
+  Steps += Sim->sim().stats().Steps;
+  Created += Sim->sim().cache().stats().EntriesCreated;
+  State.counters["fresh_pct"] =
+      Steps ? 100.0 * static_cast<double>(Created) / static_cast<double>(Steps)
+            : 0.0;
   State.SetItemsProcessed(State.iterations());
 }
-BENCHMARK(BM_FacileSlowStep);
+BENCHMARK(BM_FacileSlowStep)
+    ->ArgNames({"jit", "memo"})
+    ->ArgsProduct({{0, 1}, {0, 1}});
 
 void BM_FastSimCycleReplay(benchmark::State &State) {
   fastsim::FastSim Sim(loopImage());

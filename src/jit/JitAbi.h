@@ -12,13 +12,19 @@
 ///
 ///   int64_t fn(const JitFrame *Frame, const int64_t *Span)
 ///
-///  - a slow-stream block body (jit::emitBlock), run by the recording
-///    engine; \p Span is unused. Returns 0 when the body ran to completion.
+///  - a slow-engine region (jit::emitRegion), run by the recording engine;
+///    \p Span is unused. A region runs its entry block's body, then — when
+///    that terminator is rt-static — the terminator and every block reached
+///    through rt-static edges without entering an action block. Returns the
+///    next block to dispatch (>= 0; possibly outside the block table, which
+///    the caller faults on) once the entry's terminator ran, or
+///    RegionAtTerminator when the entry's own terminator (a dynamic test or
+///    Ret) is the caller's to execute.
 ///  - a whole-entry trace (jit::emitTrace), run by the replay engine;
 ///    \p Span is the overlay data pool base. Returns the index of the exit
 ///    the replay left through.
 ///
-/// A negative return is a bail code (below). Bails only occur for
+/// Other negative returns are bail codes (below). Bails only occur for
 /// conditions that are immediate faults in the interpreter too — never for
 /// conditions the interpreter would recover from — so the caller turns a
 /// bail into the interpreter's fault and never re-runs the code (its side
@@ -58,23 +64,23 @@ struct JitFrame {
   /// +88: base-layer data pool, refreshed by the caller before every trace
   /// call (trace code resolves base-side spans off it).
   const int64_t *BaseData = nullptr;
-  // Slow-path (complete stream) state, used only by compiled block bodies:
+  // Slow-path (complete stream) state, used only by compiled regions:
   // the recording simulator's private run-time-static state, plus the
   // placeholder capture buffer recording variants write through.
   int64_t *StatSlots = nullptr;            ///< +96  StatSlots.data()
   int64_t *StatGlobals = nullptr;          ///< +104 StatGlobals.data()
   int64_t *const *StatArrays = nullptr;    ///< +112 per-global-id data()
   int64_t *const *StatLocArrays = nullptr; ///< +120 per-local-array data()
-  /// +128: capture buffer base; the caller sizes it to the block's
+  /// +128: capture buffer base; the caller sizes it to the region's
   /// compile-time capture word count before every recording call.
   int64_t *Capture = nullptr;
-  /// +136: capture cursor at exit (set by recording block variants on
+  /// +136: capture cursor at exit (set by recording region variants on
   /// every exit path, bails included, so the caller can flush exactly the
   /// words the interpreter would have pushed before a fault).
   int64_t *CaptureEnd = nullptr;
 };
 
-/// A compiled block body or entry trace.
+/// A compiled region or entry trace.
 using JitFn = int64_t (*)(const JitFrame *Frame, const int64_t *Span);
 
 /// Negative return values of a JitFn.
@@ -85,7 +91,17 @@ enum JitBail : int64_t {
   /// An extern call failed. The fault was already raised inside the extern
   /// thunk (by Simulation::externCall); the caller just reports Faulted.
   BailExternFail = -2,
+  /// Regions only: an instruction fetch outside the text segment in a block
+  /// chained past the entry's terminator. That terminator already ran, so
+  /// the caller closes the entry's node as the interpreter did there before
+  /// raising the same DecodeError.
+  BailChainedFetchOob = -3,
 };
+
+/// A region's return when it stopped before its entry block's terminator
+/// (a dynamic test, Ret, or a form the templates do not take natively):
+/// the body ran, the caller executes the terminator. Not a bail.
+inline constexpr int64_t RegionAtTerminator = -4;
 
 /// Addresses of runtime services compiled code calls out to. The runtime
 /// fills this once per process (rt::jitRuntimeHooks()); the emitter bakes
@@ -107,7 +123,7 @@ struct JitRuntimeHooks {
 };
 
 /// Per-session JIT view, armed by the Jit ExecBackend and consulted by both
-/// engines: the frame, the plan's shared block-body cache, the session's
+/// engines: the frame, the plan's shared region cache, the session's
 /// private trace cache, the compile trip point and the session-local
 /// counters.
 class JitCache;
@@ -116,12 +132,12 @@ struct JitSession {
   JitFrame Frame;
   JitCache *Cache = nullptr;
   JitTraceCache *Traces = nullptr; ///< per-session compiled entry traces
-  uint32_t Threshold = 1; ///< visits before a block body or trace compiles
+  uint32_t Threshold = 1; ///< visits before a region entry or trace compiles
   uint64_t JitSteps = 0;   ///< replayed steps where a trace ran
   uint64_t TraceSteps = 0; ///< steps completed entirely by one trace call
-  uint64_t SlowBlockExecs = 0; ///< slow-path block bodies run natively
-  /// Placeholder capture buffer for recording block variants; sized on
-  /// demand to the dispatched block's compile-time capture word count.
+  uint64_t SlowRegionCalls = 0; ///< compiled regions the slow engine ran
+  /// Placeholder capture buffer for recording region variants; sized on
+  /// demand to the dispatched region's compile-time capture word count.
   std::vector<int64_t> Capture;
 };
 

@@ -1,4 +1,4 @@
-//===- JitCache.h - Per-plan compiled block-body cache ----------*- C++ -*-===//
+//===- JitCache.h - Per-plan compiled region cache --------------*- C++ -*-===//
 //
 // Part of the Facile reproduction project.
 //
@@ -6,15 +6,16 @@
 ///
 /// \file
 /// The record side's native code: the compile queue and code store for the
-/// slow-stream block bodies of one ExecPlan. Like the plan it is compiled
-/// from, a JitCache is shared by every session running that plan
-/// (SharedProgram holds one lazily; owned-plan simulations hold a private
-/// one), so all mutation is thread-safe:
+/// slow-engine regions of one ExecPlan (jit::emitRegion), one per region
+/// entry block (jit::regionEntries). Like the plan it is compiled from, a
+/// JitCache is shared by every session running that plan (SharedProgram
+/// holds one lazily; owned-plan simulations hold a private one), so all
+/// mutation is thread-safe:
 ///
 ///  - visit counters are relaxed atomics bumped from the slow engine;
 ///  - compilation is serialized by a mutex and happens at most once per
-///    block (success or a permanent "leave it interpreted" verdict);
-///  - entry points are published by a release store into per-block tables
+///    entry (success or a permanent "leave it interpreted" verdict);
+///  - entry points are published by a release store into per-entry tables
 ///    after the W^X arena flipped the chunk read-execute; the slow engine
 ///    acquire-loads them, so a non-null pointer always sees finished code.
 ///
@@ -50,28 +51,28 @@ public:
   /// both compile against identical constants.
   const EmitContext &ctx() const { return Ctx; }
 
-  // The complete (rt-static + dynamic) body of every slow-stream block
-  // compiles once per plan in two variants — recording or not — and is
-  // dispatched by the slow engine on every cold or unmemoized step. Blocks
-  // are few and shared, so they amortize perfectly; each trips on a
-  // per-block visit count.
+  // Every region compiles once per plan in two variants — recording or
+  // not — and is dispatched by the slow engine on every cold or unmemoized
+  // step. Entries are few and shared, so they amortize perfectly; each
+  // trips on a per-entry visit count.
 
-  /// The compiled body of block \p B for the variant, or null while it is
-  /// interpreted.
-  JitFn blockFn(uint32_t B, bool Recording) const {
+  /// The compiled region rooted at block \p B for the variant, or null
+  /// while it is interpreted (or \p B is no region entry).
+  JitFn regionFn(uint32_t B, bool Recording) const {
     if (B >= NumBlocks)
       return nullptr;
-    return BlockFns[Recording][B].load(std::memory_order_acquire);
+    return RegionFns[Recording][B].load(std::memory_order_acquire);
   }
-  /// Placeholder words one recording execution of block \p B captures.
-  /// Meaningful once blockFn() returned non-null for any variant.
-  uint32_t blockCaptureWords(uint32_t B) const { return BlockWords[B]; }
-  /// Counts one interpreted execution of block \p B's body; compiles both
-  /// variants once the count reaches \p Threshold.
-  void noteBlockVisit(uint32_t B, uint32_t Threshold);
+  /// Placeholder words one recording execution of region \p B captures.
+  /// Meaningful once regionFn() returned non-null for any variant.
+  uint32_t regionCaptureWords(uint32_t B) const { return RegionWords[B]; }
+  /// Counts one interpreted dispatch of block \p B; compiles both variants
+  /// of its region once a region entry's count reaches \p Threshold.
+  void noteEntryVisit(uint32_t B, uint32_t Threshold);
 
-  uint64_t compiledBlocks() const {
-    return CompiledBlocks.load(std::memory_order_relaxed);
+  /// Regions compiled so far.
+  uint64_t compiledRegions() const {
+    return CompiledRegions.load(std::memory_order_relaxed);
   }
   uint64_t codeBytes() const {
     return CodeBytes.load(std::memory_order_relaxed);
@@ -80,17 +81,18 @@ public:
 private:
   enum : uint8_t { Cold = 0, Published = 1, NoCompile = 2 };
 
-  void compileBlockLocked(uint32_t B);
+  void compileRegionLocked(uint32_t B);
 
   EmitContext Ctx;
   uint32_t NumBlocks = 0;
-  std::unique_ptr<std::atomic<JitFn>[]> BlockFns[2]; ///< by Recording
-  std::unique_ptr<std::atomic<uint32_t>[]> BlockVisits;
-  std::unique_ptr<std::atomic<uint8_t>[]> BlockState;
-  std::vector<uint32_t> BlockWords; ///< written under Mu before publication
+  std::unique_ptr<std::atomic<JitFn>[]> RegionFns[2]; ///< by Recording
+  std::unique_ptr<std::atomic<uint32_t>[]> Visits;
+  /// Per block; blocks that are no region entry start out NoCompile.
+  std::unique_ptr<std::atomic<uint8_t>[]> State;
+  std::vector<uint32_t> RegionWords; ///< written under Mu before publication
   std::mutex Mu;
   JitArena Arena;
-  std::atomic<uint64_t> CompiledBlocks{0};
+  std::atomic<uint64_t> CompiledRegions{0};
   std::atomic<uint64_t> CodeBytes{0};
 };
 

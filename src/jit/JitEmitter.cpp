@@ -14,6 +14,7 @@
 #include "src/facile/Ir.h"
 #include "src/isa/TargetImage.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstring>
@@ -359,10 +360,39 @@ public:
   }
   /// Patches the rel32 at \p Pos to land here.
   void patchHere(size_t Pos) { patch(Pos, size()); }
+
+  /// The prologue every compiled function shares: save the six callee-saved
+  /// registers, load rbx = JitFrame* (arriving in rdi), r12 = DynSlots and
+  /// r14 = DynGlobals, and reserve a 128-byte extern-argument scratch.
+  /// 8 (return address) + 48 + 136 keeps rsp 16-aligned at call sites.
+  void enterFrame() {
+    push(RBX);
+    push(RBP);
+    push(R12);
+    push(R13);
+    push(R14);
+    push(R15);
+    movRR(RBX, RDI);
+    movRM(R12, RBX, 0);
+    movRM(R14, RBX, 8);
+    subRI32(RSP, 136);
+  }
+  /// The matching epilogue; rax already holds the return value.
+  void leaveFrame() {
+    addRI32(RSP, 136);
+    pop(R15);
+    pop(R14);
+    pop(R13);
+    pop(R12);
+    pop(RBP);
+    pop(RBX);
+    ret();
+  }
 };
 
 //===----------------------------------------------------------------------===//
 // Stream compilation: action bodies (for traces) and slow-stream blocks
+// (for regions)
 //===----------------------------------------------------------------------===//
 
 class ActionCompiler {
@@ -377,10 +407,19 @@ public:
   /// ExternBails for the caller to patch.
   bool emitBody(uint32_t Action, uint32_t &WordsOut);
 
-  /// Compiles the complete (slow-stream) body of block \p Block; see
-  /// jit::emitBlock. Register plan: rbp = StatSlots base, r13 = capture
+  /// Switches to slow-stream (complete block) emission for a region; see
+  /// jit::emitRegion. Register plan: rbp = StatSlots base, r13 = capture
   /// cursor (recording variants only); the rest as for fast streams.
-  bool compileBlock(uint32_t Block, bool Recording, uint32_t &CaptureWordsOut);
+  void beginSlow(bool Rec) {
+    Slow = true;
+    Recording = Rec;
+    CapWords = 0;
+  }
+  /// Emits one non-terminator instruction of a slow stream (\p CodeIdx is
+  /// its Plan->Code index). False when the templates cannot express it.
+  bool emitSlowInst(const XInst &I, uint32_t CodeIdx);
+  /// Words one execution of the slow code emitted so far captures.
+  uint32_t captureWords() const { return CapWords; }
 
   std::vector<size_t> FetchBails;
   std::vector<size_t> ExternBails;
@@ -389,7 +428,7 @@ private:
   const EmitContext &Ctx;
   Asm &A;
   uint32_t K = 0; ///< compile-time placeholder cursor (Span word index)
-  bool Slow = false;      ///< emitting a slow-stream (complete) block body
+  bool Slow = false;      ///< emitting slow-stream (complete) block code
   bool Recording = false; ///< slow variant that captures placeholder words
   bool InStatic = false;  ///< current instruction is run-time static
   uint32_t CapWords = 0;  ///< words one execution of the body captures
@@ -861,100 +900,239 @@ bool ActionCompiler::emitBody(uint32_t Action, uint32_t &WordsOut) {
   return true;
 }
 
-bool ActionCompiler::compileBlock(uint32_t Block, bool Rec,
-                                  uint32_t &CaptureWordsOut) {
-  const ExecPlan &P = *Ctx.Plan;
-  if (Block + 1 >= P.BlockOfs.size())
-    return false;
-  uint32_t Begin = P.BlockOfs[Block], End = P.BlockOfs[Block + 1];
-  if (End <= Begin + 1)
-    return false; // no body (terminator only): nothing to gain
-  Slow = true;
-  Recording = Rec;
-  CapWords = 0;
+bool ActionCompiler::emitSlowInst(const XInst &I, uint32_t CodeIdx) {
+  InStatic = !I.Dynamic;
+  if (InStatic) {
+    // Only the opcodes the slow interpreter's rt-static switch handles;
+    // anything else would be a PlanCorrupt fault — leave it interpreted.
+    switch (I.Opcode) {
+    case XOp::Const:
+    case XOp::Copy:
+    case XOp::Bin:
+    case XOp::Un:
+    case XOp::LoadGlobal:
+    case XOp::StoreGlobal:
+    case XOp::LoadElem:
+    case XOp::StoreElem:
+    case XOp::LoadLocElem:
+    case XOp::StoreLocElem:
+    case XOp::InitLocArray:
+    case XOp::Fetch:
+    case XOp::TextStart:
+    case XOp::TextEnd:
+      break;
+    default:
+      return false;
+    }
+  }
+  bool Ok = emitInst(I, CodeIdx);
+  InStatic = false;
+  return Ok;
+}
 
-  // Prologue mirrors the trace compiler's (6 pushes + 136 keeps rsp
-  // 16-aligned at call sites) with rbp = StatSlots and r13 = the capture
-  // cursor instead of span bases.
-  A.push(RBX);
-  A.push(RBP);
-  A.push(R12);
-  A.push(R13);
-  A.push(R14);
-  A.push(R15);
-  A.movRR(RBX, RDI);
-  A.movRM(R12, RBX, 0);
-  A.movRM(R14, RBX, 8);
+//===----------------------------------------------------------------------===//
+// Slow-engine region compilation
+//
+// One function per region entry block: the entry's body, then its
+// rt-static terminator and every block reachable through rt-static edges
+// short of an action block, each placed once with direct jumps between
+// them (a loop's back edge is a backward jmp). Blocks are placed depth-
+// first, the Jump target or false arm of a Branch straight after its
+// predecessor so the common edge is a fallthrough. Edges leaving the
+// region land on one stub per target returning the target's block id.
+//
+// Register plan as for slow-stream bodies (ActionCompiler::beginSlow).
+//===----------------------------------------------------------------------===//
+
+/// True when \p T is a terminator a region executes natively: an
+/// rt-static Jump, or an rt-static Branch on an in-range slot.
+bool staticTransfer(const EmitContext &Ctx, const XInst &T) {
+  if (T.Dynamic)
+    return false;
+  return T.Opcode == XOp::Jump ||
+         (T.Opcode == XOp::Branch && T.A < Ctx.NumSlots);
+}
+
+/// True when a region may run block \p B natively past its entry: a
+/// dispatchable non-action block of rt-static code ending in a terminator
+/// the region takes itself.
+bool chainable(const EmitContext &Ctx, uint32_t B) {
+  if (B >= Ctx.NumBlocks || Ctx.ActionBlock[B])
+    return false;
+  const ExecPlan &P = *Ctx.Plan;
+  const uint32_t Begin = P.BlockOfs[B], End = P.BlockOfs[B + 1];
+  if (End <= Begin)
+    return false;
+  for (uint32_t Idx = Begin; Idx != End; ++Idx)
+    if (P.Code[Idx].Dynamic)
+      return false;
+  return staticTransfer(Ctx, P.Code[End - 1]);
+}
+
+class RegionCompiler {
+public:
+  RegionCompiler(const EmitContext &Ctx, bool Recording)
+      : Ctx(Ctx), Recording(Recording), C(Ctx, A) {}
+
+  bool compile(uint32_t Entry, std::vector<uint8_t> &Out,
+               uint32_t &CaptureWordsOut);
+
+private:
+  static constexpr uint32_t NoBlock = ~0u;
+  static constexpr size_t NotPlaced = ~size_t(0);
+
+  /// A forward or backward jump awaiting its target block's position (or,
+  /// if the block never gets placed, its exit stub).
+  struct Pending {
+    size_t Pos;      ///< rel32 position in the code buffer
+    uint32_t Target; ///< block id, possibly outside the block table
+  };
+
+  const EmitContext &Ctx;
+  const bool Recording;
+  Asm A;
+  ActionCompiler C;
+  std::vector<size_t> Label; ///< per block: code position once placed
+  std::vector<uint32_t> Work; ///< chain targets still to place
+  std::vector<Pending> Jumps;
+  std::vector<size_t> EpilogueJumps;
+
+  const XInst &terminator(uint32_t B) const {
+    return Ctx.Plan->Code[Ctx.Plan->BlockOfs[B + 1] - 1];
+  }
+  bool placeable(uint32_t B) const {
+    return chainable(Ctx, B) && Label[B] == NotPlaced;
+  }
+  bool emitBody(uint32_t B) {
+    const ExecPlan &P = *Ctx.Plan;
+    for (uint32_t Idx = P.BlockOfs[B]; Idx + 1 < P.BlockOfs[B + 1]; ++Idx)
+      if (!C.emitSlowInst(P.Code[Idx], Idx))
+        return false;
+    return true;
+  }
+  void jumpTo(size_t Pos, uint32_t B) {
+    Jumps.push_back({Pos, B});
+    if (placeable(B))
+      Work.push_back(B);
+  }
+  /// Returns \p Value from the region.
+  void exitWith(int64_t Value) {
+    if (Value >= 0)
+      A.movRI32(RAX, static_cast<uint32_t>(Value));
+    else
+      A.movRI32s(RAX, static_cast<int32_t>(Value));
+    EpilogueJumps.push_back(A.jmp());
+  }
+  /// Emits rt-static terminator \p T. Returns the block to place straight
+  /// after it as the fallthrough, or NoBlock.
+  uint32_t emitTransfer(const XInst &T) {
+    uint32_t Fall = T.Target;
+    if (T.Opcode == XOp::Branch) {
+      A.movRM(RAX, RBP, 8 * static_cast<int32_t>(T.A));
+      A.alu(0x85, RAX, RAX); // test rax, rax
+      jumpTo(A.jcc(CcNE), T.Target);
+      Fall = T.Target2;
+    }
+    if (placeable(Fall))
+      return Fall;
+    jumpTo(A.jmp(), Fall);
+    return NoBlock;
+  }
+};
+
+bool RegionCompiler::compile(uint32_t Entry, std::vector<uint8_t> &Out,
+                             uint32_t &CaptureWordsOut) {
+  const ExecPlan &P = *Ctx.Plan;
+  if (Entry >= Ctx.NumBlocks || P.BlockOfs[Entry + 1] <= P.BlockOfs[Entry])
+    return false;
+  Label.assign(Ctx.NumBlocks, NotPlaced);
+
+  A.enterFrame();
   A.movRM(RBP, RBX, 96);
   if (Recording)
     A.movRM(R13, RBX, 128);
-  A.subRI32(RSP, 136);
+  C.beginSlow(Recording);
 
-  for (uint32_t Idx = Begin; Idx != End - 1; ++Idx) {
-    const XInst &I = P.Code[Idx];
-    InStatic = !I.Dynamic;
-    if (InStatic) {
-      // Only the opcodes the slow interpreter's rt-static switch handles;
-      // anything else would be a PlanCorrupt fault — leave it interpreted.
-      switch (I.Opcode) {
-      case XOp::Const:
-      case XOp::Copy:
-      case XOp::Bin:
-      case XOp::Un:
-      case XOp::LoadGlobal:
-      case XOp::StoreGlobal:
-      case XOp::LoadElem:
-      case XOp::StoreElem:
-      case XOp::LoadLocElem:
-      case XOp::StoreLocElem:
-      case XOp::InitLocArray:
-      case XOp::Fetch:
-      case XOp::TextStart:
-      case XOp::TextEnd:
+  // The entry: its body may be dynamic and record; a non-action entry is
+  // also a label, so a static loop may come back to it natively.
+  if (chainable(Ctx, Entry))
+    Label[Entry] = A.size();
+  if (!emitBody(Entry))
+    return false;
+  CaptureWordsOut = C.captureWords();
+  const size_t EntryFetchBails = C.FetchBails.size();
+  uint32_t Next = NoBlock;
+  if (staticTransfer(Ctx, terminator(Entry)))
+    Next = emitTransfer(terminator(Entry));
+  else
+    exitWith(RegionAtTerminator);
+
+  // Chained blocks: rt-static code only, so nothing below captures.
+  for (;;) {
+    uint32_t B = Next;
+    Next = NoBlock;
+    if (B == NoBlock) {
+      while (!Work.empty() && Label[Work.back()] != NotPlaced)
+        Work.pop_back();
+      if (Work.empty())
         break;
-      default:
-        return false;
-      }
+      B = Work.back();
+      Work.pop_back();
     }
-    if (!emitInst(I, Idx))
-      return false;
+    Label[B] = A.size();
+    const size_t Bails = C.FetchBails.size();
+    if (!emitBody(B)) {
+      // Not expressible: the region ends before B, which the dispatcher
+      // interprets.
+      A.Code.resize(Label[B]);
+      C.FetchBails.resize(Bails);
+      exitWith(B);
+      continue;
+    }
+    Next = emitTransfer(terminator(B));
   }
-  InStatic = false;
 
-  // Success epilogue; bails funnel through the same exit with the capture
-  // cursor published either way, so the caller can flush exactly what the
-  // interpreter would have pushed before a fault.
+  // Bail stubs, then the shared epilogue every exit funnels through with
+  // rax set. Recording variants publish the capture cursor on every path.
+  auto bailStub = [&](const std::vector<size_t> &Sites, size_t From,
+                      size_t To, JitBail Code) {
+    if (From == To)
+      return;
+    for (size_t I = From; I != To; ++I)
+      A.patchHere(Sites[I]);
+    exitWith(Code);
+  };
+  bailStub(C.FetchBails, 0, EntryFetchBails, BailFetchOob);
+  bailStub(C.FetchBails, EntryFetchBails, C.FetchBails.size(),
+           BailChainedFetchOob);
+  bailStub(C.ExternBails, 0, C.ExternBails.size(), BailExternFail);
+
+  // Edges leaving the region: one stub per target block.
+  std::vector<std::pair<uint32_t, size_t>> Stubs;
+  for (const Pending &J : Jumps) {
+    if (J.Target < Ctx.NumBlocks && Label[J.Target] != NotPlaced) {
+      A.patch(J.Pos, Label[J.Target]);
+      continue;
+    }
+    auto It = std::find_if(Stubs.begin(), Stubs.end(), [&](const auto &S) {
+      return S.first == J.Target;
+    });
+    if (It == Stubs.end()) {
+      Stubs.push_back({J.Target, A.size()});
+      exitWith(J.Target);
+      It = Stubs.end() - 1;
+    }
+    A.patch(J.Pos, It->second);
+  }
+
+  const size_t Epilogue = A.size();
   if (Recording)
     A.movMR(RBX, 136, R13);
-  A.xorR32(RAX);
-  size_t Exit = A.size();
-  A.addRI32(RSP, 136);
-  A.pop(R15);
-  A.pop(R14);
-  A.pop(R13);
-  A.pop(R12);
-  A.pop(RBP);
-  A.pop(RBX);
-  A.ret();
+  A.leaveFrame();
+  for (size_t Pos : EpilogueJumps)
+    A.patch(Pos, Epilogue);
 
-  if (!FetchBails.empty()) {
-    for (size_t Pos : FetchBails)
-      A.patchHere(Pos);
-    if (Recording)
-      A.movMR(RBX, 136, R13);
-    A.movRI32s(RAX, static_cast<int32_t>(BailFetchOob));
-    A.patch(A.jmp(), Exit);
-  }
-  if (!ExternBails.empty()) {
-    for (size_t Pos : ExternBails)
-      A.patchHere(Pos);
-    if (Recording)
-      A.movMR(RBX, 136, R13);
-    A.movRI32s(RAX, static_cast<int32_t>(BailExternFail));
-    A.patch(A.jmp(), Exit);
-  }
-
-  CaptureWordsOut = CapWords;
+  Out = std::move(A.Code);
   return true;
 }
 
@@ -1009,17 +1187,8 @@ bool TraceCompiler::compile(const std::vector<TraceNodeDesc> &Nodes,
   if (Nodes.empty())
     return false;
 
-  A.push(RBX);
-  A.push(RBP);
-  A.push(R12);
-  A.push(R13);
-  A.push(R14);
-  A.push(R15);
-  A.movRR(RBX, RDI);
+  A.enterFrame();
   A.movRR(RBP, RSI); // overlay data pool base
-  A.movRM(R12, RBX, 0);
-  A.movRM(R14, RBX, 8);
-  A.subRI32(RSP, 136); // 8+48+136 ≡ 0 (mod 16) at call sites
 
   std::vector<size_t> BlockStart(Nodes.size(), 0);
   std::vector<size_t> EndJumps; ///< exits still needing the epilogue target
@@ -1083,14 +1252,7 @@ bool TraceCompiler::compile(const std::vector<TraceNodeDesc> &Nodes,
 
   // Shared epilogue; every exit funnels through it with rax already set.
   size_t Epilogue = A.size();
-  A.addRI32(RSP, 136);
-  A.pop(R15);
-  A.pop(R14);
-  A.pop(R13);
-  A.pop(R12);
-  A.pop(RBP);
-  A.pop(RBX);
-  A.ret();
+  A.leaveFrame();
   for (size_t Pos : EndJumps)
     A.patch(Pos, Epilogue);
 
@@ -1125,16 +1287,34 @@ bool TraceCompiler::compile(const std::vector<TraceNodeDesc> &Nodes,
 
 } // namespace
 
-bool jit::emitBlock(const EmitContext &Ctx, uint32_t Block, bool Recording,
-                    std::vector<uint8_t> &Code, uint32_t &CaptureWordsOut) {
+std::vector<uint8_t> jit::regionEntries(const EmitContext &Ctx) {
+  const ExecPlan &P = *Ctx.Plan;
+  std::vector<uint8_t> Entry(Ctx.NumBlocks, 0);
+  for (uint32_t B = 0; B != Ctx.NumBlocks; ++B) {
+    if (B == 0 || !chainable(Ctx, B))
+      Entry[B] = 1;
+    if (P.BlockOfs[B + 1] <= P.BlockOfs[B])
+      continue;
+    // A terminator the region leaves to the dispatcher hands control to
+    // its targets there.
+    const XInst &T = P.Code[P.BlockOfs[B + 1] - 1];
+    if (staticTransfer(Ctx, T))
+      continue;
+    if (T.Opcode == XOp::Jump && T.Target < Ctx.NumBlocks)
+      Entry[T.Target] = 1;
+    if (T.Opcode == XOp::Branch)
+      for (uint32_t Target : {T.Target, T.Target2})
+        if (Target < Ctx.NumBlocks)
+          Entry[Target] = 1;
+  }
+  return Entry;
+}
+
+bool jit::emitRegion(const EmitContext &Ctx, uint32_t Entry, bool Recording,
+                     std::vector<uint8_t> &Code, uint32_t &CaptureWordsOut) {
   if (!available() || !Ctx.Plan || !Ctx.Image || !Ctx.Hooks.ExternSlow)
     return false;
-  Asm A;
-  ActionCompiler C(Ctx, A);
-  if (!C.compileBlock(Block, Recording, CaptureWordsOut))
-    return false;
-  Code = std::move(A.Code);
-  return true;
+  return RegionCompiler(Ctx, Recording).compile(Entry, Code, CaptureWordsOut);
 }
 
 bool jit::emitTrace(const EmitContext &Ctx,

@@ -11,14 +11,16 @@
 /// and no register allocation — the CVC observation applies: direct
 /// emission over a small opcode set already removes the whole
 /// dispatch-and-decode cost that dominates replay. Two artifacts come out
-/// of it, one per engine: slow-stream block bodies (emitBlock) and
-/// whole-entry replay traces (emitTrace).
+/// of it, one per engine: slow-engine regions (emitRegion) and whole-entry
+/// replay traces (emitTrace). Both compile control flow as well as node
+/// bodies: a region's rt-static branches and a trace's recorded tests jump
+/// straight to the successor's code.
 ///
 /// Register plan (all callee-saved, so helper calls need no spills):
 ///   rbx  JitFrame*              r14  DynGlobals base
 ///   r12  DynSlots base          r15  TestValue accumulator
-///   r13  placeholder Span base (traces) / capture cursor (blocks)
-///   rbp  overlay data pool (traces) / StatSlots base (blocks)
+///   r13  placeholder Span base (traces) / capture cursor (regions)
+///   rbp  overlay data pool (traces) / StatSlots base (regions)
 /// rax/rcx/rdx/rsi/rdi/r8-r11 are per-template scratch. The prologue
 /// reserves stack for extern argument gathering, keeping rsp 16-aligned
 /// at every call site.
@@ -56,24 +58,47 @@ struct EmitContext {
   std::vector<uint32_t> ArraySizes;
   /// Element count per local-array id.
   std::vector<uint32_t> LocArraySizes;
+  /// Blocks the slow engine can dispatch: the plan's blocks that the
+  /// action table also covers. Control transfers at or past this are the
+  /// dispatcher's PlanCorrupt fault.
+  uint32_t NumBlocks = 0;
+  /// Per block: 1 when it is an action block (it records a node, so a
+  /// region returns to the dispatcher before entering it).
+  std::vector<uint8_t> ActionBlock;
   JitRuntimeHooks Hooks;
 };
 
-/// Compiles the *body* of slow-stream block \p Block (everything up to but
-/// excluding the terminator, which stays in the slow engine) into \p Code:
-/// run-time-static instructions against the frame's Stat* state, dynamic
-/// instructions against the shared state. The body is straight-line, so
-/// the number of placeholder words one execution captures is a
-/// compile-time constant, returned in \p CaptureWordsOut. A \p Recording
-/// variant additionally writes every word the recording interpreter would
-/// pushData() — static operands in placeholder order, memoized sync values
-/// — to Frame.Capture, leaving the final cursor in Frame.CaptureEnd on
-/// every exit path; the caller flushes those through the cache (preserving
-/// seal and peak accounting) after the call returns. Returns 0 on success
-/// or a JitBail code; false when the block contains anything the templates
-/// cannot express bit-exactly.
-bool emitBlock(const EmitContext &Ctx, uint32_t Block, bool Recording,
-               std::vector<uint8_t> &Code, uint32_t &CaptureWordsOut);
+/// Per block of the plan, 1 when the slow engine dispatches it as a region
+/// entry: block 0, every block a region cannot chain into (action blocks —
+/// they record a node — and blocks with dynamic code or a terminator that
+/// is not an rt-static Jump/Branch), and every target of a terminator the
+/// regions leave to the dispatcher (dynamic tests). Other blocks only ever
+/// run inside a region.
+std::vector<uint8_t> regionEntries(const EmitContext &Ctx);
+
+/// Compiles the region rooted at block \p Entry into \p Code: the entry's
+/// complete body (rt-static instructions against the frame's Stat* state,
+/// dynamic ones against the shared state), then — when the entry's
+/// terminator is an rt-static Jump/Branch — that terminator and, natively,
+/// every block reachable through rt-static edges without entering an action
+/// block; static-bound loops become native back-edges. The region returns
+/// the next block to dispatch, RegionAtTerminator, or a bail code
+/// (JitAbi.h). A chained block holding anything the templates cannot
+/// express, and any target outside the block table, ends the region there:
+/// the block (or the bad target) is returned to the dispatcher, whose
+/// interpreter then runs it or raises its usual fault.
+///
+/// Only the entry can record: chained blocks are pure rt-static code. So
+/// the number of placeholder words one execution captures is a compile-time
+/// constant, returned in \p CaptureWordsOut. A \p Recording variant writes
+/// every word the recording interpreter would pushData() — static operands
+/// in placeholder order, memoized sync values — to Frame.Capture, leaving
+/// the final cursor in Frame.CaptureEnd on every exit path; the caller
+/// flushes those through the cache (preserving seal and peak accounting)
+/// after the call returns. Returns false when the entry's body holds
+/// anything the templates cannot express bit-exactly.
+bool emitRegion(const EmitContext &Ctx, uint32_t Entry, bool Recording,
+                std::vector<uint8_t> &Code, uint32_t &CaptureWordsOut);
 
 /// Sentinel successor for TraceNodeDesc: control leaves the trace here
 /// (the emitter materializes a side exit returning the exit's id).

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The replay side's native code: whole cache entries compiled to one
-/// native call per replayed step. Unlike the block-body JitCache (per plan,
+/// native call per replayed step. Unlike the region JitCache (per plan,
 /// shared by every session), traces are bound to one session's ActionCache
 /// — they bake node span offsets and successor links of that cache's arenas
 /// — so the trace cache is per session and single-threaded, owned by that

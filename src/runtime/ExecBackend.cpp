@@ -4,7 +4,7 @@
 // runtime-service thunks native code calls out to. The Jit backend owns
 // the per-session jit::JitSession (frame pointers, trip point, counters)
 // and arms Simulation::JitCtx with it; the slow engine dispatches compiled
-// block bodies through it and the replay loop dispatches compiled traces.
+// regions through it and the replay loop dispatches compiled traces.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,6 +12,7 @@
 
 #include "src/jit/JitCache.h"
 #include "src/jit/JitTrace.h"
+#include "src/support/StringUtils.h"
 #include "src/telemetry/Metrics.h"
 
 #include <cstdio>
@@ -39,17 +40,8 @@ const char *facile::rt::backendKindName(BackendKind K) {
 }
 
 bool facile::rt::parseJitThreshold(const std::string &Text, uint32_t &Out) {
-  if (Text.empty())
-    return false;
   uint64_t V = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return false;
-    V = V * 10 + static_cast<uint64_t>(C - '0');
-    if (V > UINT32_MAX)
-      return false;
-  }
-  if (V == 0)
+  if (!parseDecimal(Text, V) || V == 0 || V > UINT32_MAX)
     return false;
   Out = static_cast<uint32_t>(V);
   return true;
@@ -91,7 +83,7 @@ void ExecBackend::exportMetrics(telemetry::MetricSink &Sink) const {
   Sink.counter("compiled_traces", 0);
   Sink.counter("jit_exec_steps", 0);
   Sink.counter("trace_steps", 0);
-  Sink.counter("slow_block_execs", 0);
+  Sink.counter("slow_region_calls", 0);
   Sink.counter("bailouts", 0); // always 0; perfbench reads it
   Sink.counter("code_bytes", 0);
   Sink.counter("trace_code_bytes", 0);
@@ -134,7 +126,7 @@ public:
 
   void onStateReplaced() override { refreshFrame(); }
   void onCacheRebuilt() override {
-    // Block bodies reference no cache arena and survive; entry traces bake
+    // Regions reference no cache arena and survive; entry traces bake
     // node ids and span offsets of the rebuilt arenas and are dropped
     // wholesale.
     Traces.reset();
@@ -153,20 +145,21 @@ public:
     Sink.text("backend", name());
     Sink.flag("available", true);
     Sink.counter("compiled_actions", 0); // always 0; perfbench reads it
-    Sink.counter("compiled_blocks", Session.Cache->compiledBlocks());
+    // Compiled regions keep the key perfbench reads.
+    Sink.counter("compiled_blocks", Session.Cache->compiledRegions());
     Sink.counter("compiled_traces", Traces.compiledTraces());
     Sink.counter("jit_exec_steps", Session.JitSteps);
     Sink.counter("trace_steps", Session.TraceSteps);
-    Sink.counter("slow_block_execs", Session.SlowBlockExecs);
+    Sink.counter("slow_region_calls", Session.SlowRegionCalls);
     Sink.counter("bailouts", 0); // always 0; perfbench reads it
     Sink.counter("code_bytes", Session.Cache->codeBytes());
     Sink.counter("trace_code_bytes", Traces.codeBytes());
   }
 
   uint64_t compiledActions() const override {
-    // Slow-path block bodies plus whole-entry traces; exportMetrics keeps
-    // the per-tier breakdown.
-    return Session.Cache->compiledBlocks() + Traces.compiledTraces();
+    // Slow-engine regions plus whole-entry traces; exportMetrics keeps the
+    // per-tier breakdown.
+    return Session.Cache->compiledRegions() + Traces.compiledTraces();
   }
 
   // Runtime-service thunks whose addresses the emitter bakes into code
@@ -268,7 +261,7 @@ void JitBackend::refreshFrame() {
   F.RetiredFast = &Sim.S.RetiredFast;
   F.Cycles = &Sim.S.Cycles;
   F.Halt = &Sim.HaltFlag;
-  // Slow-path state for compiled block bodies.
+  // Slow-path state for compiled regions.
   F.StatSlots = Sim.StatSlots.data();
   F.StatGlobals = Sim.StatGlobals.data();
   StatArrayPtrs.resize(Sim.StatArrays.size());

@@ -15,9 +15,10 @@
 ///    the template JIT cannot run (non-x86-64 hosts, --jit=off).
 ///  - JitBackend arms both engines with a jit::JitSession, one native tier
 ///    per engine, each compiling once its visit count reaches
-///    Options::JitThreshold: the slow engine runs compiled block bodies
-///    from the plan's shared jit::JitCache, and the replay loop runs whole
-///    cache entries as compiled traces from the session's
+///    Options::JitThreshold: the slow engine runs compiled regions — an
+///    entry block plus the rt-static control flow up to the next action
+///    block — from the plan's shared jit::JitCache, and the replay loop
+///    runs whole cache entries as compiled traces from the session's
 ///    jit::JitTraceCache. Everything else stays interpreted. A bail code
 ///    from native code maps onto the fault the interpreter raises there.
 ///
@@ -92,8 +93,8 @@ public:
   /// the statsJson schema is identical across backends.
   virtual void exportMetrics(telemetry::MetricSink &Sink) const;
 
-  /// Artifacts compiled to native code so far across both tiers (block
-  /// bodies + entry traces; 0 on the interpreter) — the cheap programmatic
+  /// Artifacts compiled to native code so far across both tiers (regions +
+  /// entry traces; 0 on the interpreter) — the cheap programmatic
   /// probe for "did the JIT actually engage". The metric group keeps the
   /// per-tier breakdown.
   virtual uint64_t compiledActions() const { return 0; }

@@ -172,7 +172,7 @@ public:
   /// "backend":"auto" request actually got.
   const char *backendName() const;
 
-  /// Native artifacts the backend has compiled — block bodies plus entry
+  /// Native artifacts the backend has compiled — slow-engine regions plus entry
   /// traces (always 0 on the interpreter): the programmatic "did the JIT
   /// engage" probe used by benches and CI smoke checks.
   uint64_t jitCompiledActions() const;

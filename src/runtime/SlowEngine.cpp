@@ -117,28 +117,41 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
       }
     }
 
-    // Execute the block body (everything but the terminator). When the
-    // session's JIT is armed and the plan's cache has this body compiled
-    // for the current recording shape, it runs natively: the
+    // Terminator bookkeeping shared by the native and interpreted paths.
+    // Sealing closes the node's data span and integrity seal; the node's
+    // kind must be final by then.
+    auto sealNode = [&] {
+      ActionNode &N = Cache.node(NodeIdx);
+      N.DataLen = Cache.dataSize() - N.DataOfs;
+      Cache.sealNode(NodeIdx, NodeTag);
+    };
+
+    // Execute the block. When the session's JIT is armed and the plan's
+    // cache has the region rooted here compiled for the current recording
+    // shape, it runs natively: the block body, and — when the terminator
+    // is rt-static — the terminator and every rt-static block after it up
+    // to the next action block. Those chained blocks capture nothing and
+    // record no node, so only this block's node needs the dispatcher: the
     // recording variant captures every placeholder word to a scratch
-    // buffer that is flushed through the cache afterwards, so data-pool
-    // contents, seal accumulation and peak accounting stay bit-identical
-    // to the interpreter — including on a mid-body fault, where exactly
-    // the words pushed before the fault are flushed. Recovery stays
+    // buffer that is flushed through the cache afterwards, and the node is
+    // sealed as the interpreter seals it at this block's terminator, so
+    // data-pool contents, seal accumulation and peak accounting stay
+    // bit-identical to the interpreter — including on a fault, where
+    // exactly the words pushed before it are flushed. Recovery stays
     // interpreted (it replays statics only).
     const XInst *IP = P.blockBegin(BB);
     const XInst *Term = P.blockEnd(BB) - 1;
-    if (jit::JitSession *const Jit = JitCtx; Jit && !Recovering && IP != Term) {
+    if (jit::JitSession *const Jit = JitCtx; Jit && !Recovering) {
       jit::JitCache &JC = *Jit->Cache;
       const bool Capturing = NodeIdx != ActionNode::NoNode;
-      jit::JitFn Fn = JC.blockFn(BB, Capturing);
+      jit::JitFn Fn = JC.regionFn(BB, Capturing);
       if (!Fn) {
-        JC.noteBlockVisit(BB, Jit->Threshold);
-        Fn = JC.blockFn(BB, Capturing);
+        JC.noteEntryVisit(BB, Jit->Threshold);
+        Fn = JC.regionFn(BB, Capturing);
       }
       if (Fn) {
         if (Capturing) {
-          uint32_t W = JC.blockCaptureWords(BB);
+          uint32_t W = JC.regionCaptureWords(BB);
           if (Jit->Capture.size() < W)
             Jit->Capture.resize(W);
           Jit->Frame.Capture = Jit->Capture.data();
@@ -150,14 +163,26 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
           Cache.pushDataSpan(Cap, N);
           S.PlaceholderWords += N;
         }
-        ++Jit->SlowBlockExecs;
-        if (R < 0) {
-          if (R == jit::BailFetchOob)
+        ++Jit->SlowRegionCalls;
+        if (R == jit::BailFetchOob)
+          return fail(FaultKind::DecodeError,
+                      "instruction fetch outside the text segment");
+        if (R == jit::BailExternFail)
+          return fail(FaultKind::ExternFailure, "extern call failed");
+        if (R != jit::RegionAtTerminator) {
+          // This block's rt-static terminator ran natively.
+          if (NodeIdx != ActionNode::NoNode)
+            sealNode();
+          if (R == jit::BailChainedFetchOob)
             return fail(FaultKind::DecodeError,
                         "instruction fetch outside the text segment");
-          return fail(FaultKind::ExternFailure, "extern call failed");
+          if (static_cast<uint64_t>(R) >= NBlocks)
+            return fail(FaultKind::PlanCorrupt,
+                        "control transfer outside the block table");
+          BB = static_cast<uint32_t>(R);
+          continue;
         }
-        IP = Term; // body done natively; fall through to the terminator
+        IP = Term; // body done natively; the terminator is ours
       }
     }
     for (; IP != Term; ++IP) {
@@ -393,13 +418,7 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
       }
     }
 
-    // Terminator. Sealing closes the node's data span and integrity seal;
-    // the node's kind must be final by then.
-    auto sealNode = [&] {
-      ActionNode &N = Cache.node(NodeIdx);
-      N.DataLen = Cache.dataSize() - N.DataOfs;
-      Cache.sealNode(NodeIdx, NodeTag);
-    };
+    // Terminator.
     const XInst &T = *Term;
     switch (T.Opcode) {
     case XOp::Jump:

@@ -394,9 +394,11 @@ void FacileSim::registerMetrics(telemetry::MetricsRegistry &R) const {
   // name and must keep parsing. Schema v3 removed guard.enabled,
   // cache.evictions and cache.evicted_entries along with unguarded replay
   // and the LRU-half eviction policy; schema v4 removed the bypass group
-  // along with adaptive memoization bypass.
+  // along with adaptive memoization bypass; schema v5 replaced
+  // jit.slow_block_execs with jit.slow_region_calls when slow-engine
+  // regions replaced per-block bodies.
   R.add("", [](telemetry::MetricSink &Sink) {
-    Sink.counter("schema_version", 4);
+    Sink.counter("schema_version", 5);
   });
   Sim.registerMetrics(R); // steps..., fault, guard, jit, cache
   R.add("snapshot", [this](telemetry::MetricSink &Sink) {

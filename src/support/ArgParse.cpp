@@ -2,6 +2,8 @@
 
 #include "src/support/ArgParse.h"
 
+#include "src/support/StringUtils.h"
+
 #include <cstdarg>
 #include <cstdlib>
 #include <cstring>
@@ -34,9 +36,8 @@ void ArgParse::u64(const char *Name, uint64_t &Out, const char *Meta,
   std::string N = Name;
   custom(Name, Meta, Help,
          [&Out, N, Min, Max](const std::string &V, std::string &Err) {
-           char *End = nullptr;
-           uint64_t Parsed = std::strtoull(V.c_str(), &End, 10);
-           if (V.empty() || End != V.c_str() + V.size()) {
+           uint64_t Parsed = 0;
+           if (!parseDecimal(V, Parsed)) {
              Err = "--" + N + " takes a decimal number, not '" + V + "'";
              return false;
            }
@@ -139,9 +140,8 @@ void ArgParse::optU64(const char *Name, bool &Present, uint64_t &Out,
     Present = true;
     if (V.empty())
       return true; // bare form: keep the default
-    char *End = nullptr;
-    uint64_t Parsed = std::strtoull(V.c_str(), &End, 10);
-    if (End != V.c_str() + V.size()) {
+    uint64_t Parsed = 0;
+    if (!parseDecimal(V, Parsed)) {
       Err = "--" + N + " takes a decimal number, not '" + V + "'";
       return false;
     }

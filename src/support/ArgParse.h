@@ -65,7 +65,8 @@ public:
   void str(const char *Name, std::string &Out, const char *Meta,
            const char *Help);
 
-  /// `--name=<decimal>`, range-checked against [Min, Max].
+  /// `--name=<decimal>`, range-checked against [Min, Max]. The value is
+  /// decimal digits only (facile::parseDecimal).
   void u64(const char *Name, uint64_t &Out, const char *Meta,
            const char *Help, uint64_t Min = 0, uint64_t Max = UINT64_MAX);
 

@@ -22,3 +22,19 @@ std::string facile::strFormat(const char *Fmt, ...) {
   va_end(Args);
   return Out;
 }
+
+bool facile::parseDecimal(const std::string &Text, uint64_t &Out) {
+  if (Text.empty())
+    return false;
+  uint64_t V = 0;
+  for (char C : Text) {
+    if (C < '0' || C > '9')
+      return false;
+    const uint64_t Digit = static_cast<uint64_t>(C - '0');
+    if (V > (UINT64_MAX - Digit) / 10)
+      return false;
+    V = V * 10 + Digit;
+  }
+  Out = V;
+  return true;
+}

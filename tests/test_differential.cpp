@@ -12,14 +12,21 @@
 // is vacuous.
 //
 // The same oracle covers the execution backends: JitMatchesInterpreter
-// holds the template-JIT to bit-identical state and step accounting
-// against the interpreting backend.
+// holds the template-JIT to bit-identical state, step accounting and
+// serialized action cache against the interpreting backend, and
+// JitRegionsMatchInterpreter does the same for a hand-written program
+// shaped to exercise every way a slow-engine region can end.
 //
 //===----------------------------------------------------------------------===//
 
+#include "src/facile/Compiler.h"
+#include "src/isa/Assembler.h"
 #include "src/jit/JitEmitter.h"
 #include "src/sims/SimHarness.h"
+#include "src/snapshot/Serializer.h"
 #include "src/store/CacheStore.h"
+#include "src/support/JsonValue.h"
+#include "src/telemetry/Metrics.h"
 #include "src/workload/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -53,6 +60,7 @@ struct FinalState {
   uint64_t Misses = 0;
   uint64_t CompiledActions = 0;
   std::string BackendName;
+  std::vector<uint8_t> CacheBytes; ///< the saved action-cache container
 
   bool operator==(const FinalState &O) const {
     return Halted == O.Halted && RetiredTotal == O.RetiredTotal &&
@@ -77,6 +85,7 @@ FinalState runOne(SimKind Kind, const isa::TargetImage &Image,
   F.Misses = Sim.sim().stats().Misses;
   F.CompiledActions = Sim.sim().jitCompiledActions();
   F.BackendName = Sim.sim().backendName();
+  F.CacheBytes = Sim.cacheBytes();
   const CompiledProgram &P = simulatorProgram(Kind, Mode);
   for (const ir::GlobalVar &G : P.Globals) {
     if (G.IsArray)
@@ -375,13 +384,16 @@ TEST(Differential, StoreBackedMatchesOwnedCache) {
 
 TEST(Differential, JitMatchesInterpreter) {
   // The template-JIT backend is an execution strategy, not a semantics: a
-  // run dispatched through compiled block bodies and entry traces must be
+  // run dispatched through compiled regions and entry traces must be
   // bit-identical to the interpreting backend — same architectural state,
   // same memory digest, and the same step accounting (Steps, FastSteps,
   // Misses, RetiredTotal, Cycles), since the JIT sits below the
-  // memoization layer and never changes which engine a step takes. Runs
-  // every simulator over both workloads, memo on and off; memo-off runs
-  // only the record-side tier, since nothing is ever replayed.
+  // memoization layer and never changes which engine a step takes — and
+  // the same saved action cache, byte for byte, since compiled regions
+  // must record exactly the nodes, placeholder data and seals the
+  // interpreter records. Runs every simulator over both workloads, memo on
+  // and off; memo-off runs only the record-side tier, since nothing is
+  // ever replayed.
   if (!jit::available())
     GTEST_SKIP() << "no template-JIT backend on this host";
   for (SimKind Kind :
@@ -412,6 +424,10 @@ TEST(Differential, JitMatchesInterpreter) {
         EXPECT_EQ(J.Steps, I.Steps);
         EXPECT_EQ(J.FastSteps, I.FastSteps);
         EXPECT_EQ(J.Misses, I.Misses);
+        EXPECT_FALSE(I.CacheBytes.empty());
+        EXPECT_TRUE(J.CacheBytes == I.CacheBytes)
+            << "saved action caches differ (" << J.CacheBytes.size()
+            << " vs " << I.CacheBytes.size() << " bytes)";
         EXPECT_EQ(I.CompiledActions, 0u);
         if (Memo) {
           // The comparison is vacuous unless the JIT actually compiled
@@ -422,6 +438,153 @@ TEST(Differential, JitMatchesInterpreter) {
       }
     }
   }
+}
+
+namespace {
+
+/// Reads counter \p Name of \p Sim's "jit" metrics group (0 when absent).
+int64_t jitCounter(const rt::Simulation &Sim, const char *Name) {
+  telemetry::MetricsRegistry R;
+  Sim.registerMetrics(R);
+  telemetry::JsonMetricSink Sink;
+  R.exportTo(Sink);
+  json::Value Root;
+  std::string Err;
+  const json::Value *C = nullptr;
+  if (json::parse(Sink.finish(), Root, Err))
+    if (const json::Value *Jit = Root.get("jit"))
+      C = Jit->get(Name);
+  return C ? C->intOr(0) : 0;
+}
+
+/// Every way a slow-engine region can end, between two dynamic blocks:
+/// the action block opening each step (mem_ld) enters a region that runs a
+/// static-bound loop (a native back edge), a static if/else, and a static
+/// instruction fetch feeding another static if/else, before it returns at
+/// the next action block (mem_st). The key is the fetch address; after
+/// three laps over the text a dynamic test moves it past the text end, so
+/// the last step faults inside a chained block, after the entry's node was
+/// sealed. Laps 1 and 2 replay lap 0's entries, the third-lap exit test
+/// misses and recovers.
+constexpr const char *RegionShapesSource = R"(
+  init val pc = 0;
+  val lap = 0;
+  fun main() {
+    val x = mem_ld(2097152);
+    val s = pc & 255;
+    val i = 0;
+    while (i < 6) {
+      s = s + i * (pc & 15);
+      i = i + 1;
+    }
+    if ((s & 1) == 1) {
+      s = s * 3;
+    } else {
+      s = s + 7;
+    }
+    val w = pc?fetch();
+    if ((w & 4) != 0) {
+      s = s ^ w;
+    } else {
+      s = s + 1;
+    }
+    mem_st(2097156, x + s);
+    retire(1);
+    cycles(1 + (s & 3));
+    if (pc + 4 >= text_end()) {
+      lap = lap + 1;
+      if (lap == 3) {
+        pc = text_end();
+      } else {
+        pc = text_start();
+      }
+    } else {
+      pc = pc + 4;
+    }
+  }
+)";
+
+struct RegionRun {
+  rt::SimFault Fault;
+  uint64_t Steps = 0, FastSteps = 0, Misses = 0;
+  uint64_t Retired = 0, Cycles = 0;
+  uint64_t MemDigest = 0;
+  std::vector<uint8_t> Cache;
+  int64_t RegionCalls = 0, CompiledRegions = 0;
+};
+
+RegionRun runRegionShapes(rt::BackendKind Backend) {
+  DiagnosticEngine Diag;
+  std::optional<CompiledProgram> Prog = compileFacile(RegionShapesSource, Diag);
+  EXPECT_TRUE(Prog.has_value()) << Diag.str();
+  if (!Prog)
+    return {};
+  std::string Text = "main:\n";
+  for (int I = 0; I != 24; ++I)
+    Text += "addi r" + std::to_string(1 + I % 7) + ", r0, " +
+            std::to_string(I) + "\n";
+  Text += "halt\n";
+  isa::TargetImage Img = *isa::assemble(Text);
+  rt::Simulation::Options Opts;
+  Opts.Backend = Backend;
+  Opts.JitThreshold = 1;
+  rt::Simulation Sim(*Prog, Img, Opts);
+  Sim.setGlobal("pc", Img.TextBase);
+  Sim.memory().write32(2097152, 5);
+  Sim.run(1000); // stops at the fault
+  RegionRun R;
+  R.Fault = Sim.fault();
+  R.Steps = Sim.stats().Steps;
+  R.FastSteps = Sim.stats().FastSteps;
+  R.Misses = Sim.stats().Misses;
+  R.Retired = Sim.stats().RetiredTotal;
+  R.Cycles = Sim.stats().Cycles;
+  R.MemDigest = Sim.memory().digest();
+  snapshot::Writer W;
+  Sim.serializeCache(W);
+  R.Cache = W.take();
+  R.RegionCalls = jitCounter(Sim, "slow_region_calls");
+  R.CompiledRegions = jitCounter(Sim, "compiled_blocks");
+  return R;
+}
+
+} // namespace
+
+TEST(Differential, JitRegionsMatchInterpreter) {
+  if (!jit::available())
+    GTEST_SKIP() << "no template-JIT backend on this host";
+  RegionRun I = runRegionShapes(rt::BackendKind::Interpret);
+  RegionRun J = runRegionShapes(rt::BackendKind::Jit);
+
+  // The run is shaped as intended: a fetch fault after three laps of 25
+  // instructions, with replayed laps and a recovered exit test.
+  EXPECT_EQ(I.Fault.Kind, rt::FaultKind::DecodeError);
+  EXPECT_EQ(I.Fault.Detail, "instruction fetch outside the text segment");
+  EXPECT_EQ(I.Steps, 3u * 25 + 1);
+  EXPECT_EQ(I.FastSteps, 2u * 25 - 1);
+  EXPECT_EQ(I.Misses, 1u);
+
+  EXPECT_EQ(J.Fault.Kind, I.Fault.Kind);
+  EXPECT_EQ(J.Fault.Detail, I.Fault.Detail);
+  EXPECT_EQ(J.Steps, I.Steps);
+  EXPECT_EQ(J.FastSteps, I.FastSteps);
+  EXPECT_EQ(J.Misses, I.Misses);
+  EXPECT_EQ(J.Retired, I.Retired);
+  EXPECT_EQ(J.Cycles, I.Cycles);
+  EXPECT_EQ(J.MemDigest, I.MemDigest);
+  EXPECT_FALSE(I.Cache.empty());
+  EXPECT_TRUE(J.Cache == I.Cache) << "serialized action caches differ";
+
+  // Regions ran, and ran whole stretches of blocks per call: every slow
+  // step dispatches at least the six loop iterations as separate blocks in
+  // the interpreter, while the regions return only at action blocks and
+  // dynamic tests.
+  EXPECT_EQ(I.RegionCalls, 0);
+  EXPECT_GT(J.CompiledRegions, 0);
+  const uint64_t SlowSteps = J.Steps - J.FastSteps;
+  EXPECT_GT(J.RegionCalls, 0);
+  EXPECT_LT(static_cast<uint64_t>(J.RegionCalls), SlowSteps * 6)
+      << J.RegionCalls << " region calls over " << SlowSteps << " slow steps";
 }
 
 TEST(JitThreshold, ParsesOnlyPositiveDecimalCounts) {

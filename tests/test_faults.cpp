@@ -641,7 +641,7 @@ TEST(WarmReplay, LoopThatFitsReplaysAfterColdLap) {
 //===----------------------------------------------------------------------===//
 
 // The cache-corruption campaign rerun with Backend=Jit at threshold 1, so
-// compiled block bodies and entry traces are live when arenas are flipped.
+// compiled regions and entry traces are live when arenas are flipped.
 // The robustness contract does not weaken under native code: every run
 // still ends clean (bit-identical to the uninjected interpreter
 // reference), absorbed, or with a structured cache/plan fault — never a
@@ -701,7 +701,7 @@ TEST(FaultCampaign, JitCacheCorruptionNeverDivergesSilently) {
   EXPECT_GT(Absorbed, 0u);
   EXPECT_GT(Faulted, 0u);
   // The campaign is only meaningful if native code was actually on the
-  // replay path in (nearly) every run. Block bodies compile on every run,
+  // replay path in (nearly) every run. Regions compile on every run,
   // so only a compiled trace shows that native replay engaged.
   EXPECT_GT(TracedRuns, 450u);
 }

@@ -278,7 +278,8 @@ TEST(EventTracer, DisabledHooksRecordNothing) {
 /// (guard.enabled, cache.evictions, cache.evicted_entries) and the bypass
 /// group schema 4 removed with adaptive bypass (bypass.active,
 /// bypass.activations, bypass.bypassed_steps). The export path must keep
-/// all of them.
+/// all of them. (Schema 5 renamed a key added after v2:
+/// jit.slow_block_execs became jit.slow_region_calls.)
 const char *const PreV2Keys[] = {
     "steps",          "fast_steps",
     "misses",         "retired_total",
@@ -318,13 +319,15 @@ TEST(TelemetryIntegration, StatsJsonRetainsPreV2KeysForAllSimulators) {
     Sim.run(60'000);
     std::string Json = Sim.statsJson();
     ASSERT_TRUE(validJson(Json)) << Json;
-    EXPECT_NE(Json.find("\"schema_version\":4"), std::string::npos);
+    EXPECT_NE(Json.find("\"schema_version\":5"), std::string::npos);
     for (const char *K : PreV2Keys)
       EXPECT_TRUE(hasKey(Json, K)) << K << " missing in " << Json;
     for (const char *K : {"evictions", "evicted_entries"})
       EXPECT_FALSE(hasKey(Json, K)) << K << " retired in schema 3";
     for (const char *K : {"bypass", "activations", "bypassed_steps"})
       EXPECT_FALSE(hasKey(Json, K)) << K << " retired in schema 4";
+    EXPECT_FALSE(hasKey(Json, "slow_block_execs")) << "retired in schema 5";
+    EXPECT_TRUE(hasKey(Json, "slow_region_calls"));
   }
 }
 

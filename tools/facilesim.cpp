@@ -62,13 +62,12 @@ int main(int Argc, char **Argv) {
   P.u64("instrs", Instrs, "<n>",
         "total retired-instruction target,\nincluding instructions restored "
         "from\na checkpoint (default 1000000)");
-  P.custom("cache-budget-mb", "<n>",
-           "action-cache byte budget (default 256)",
-           [&Opts](const std::string &V, std::string &) {
-             Opts.CacheBudgetBytes = std::strtoull(V.c_str(), nullptr, 10)
-                                     << 20;
-             return true;
-           });
+  // Megabyte flags are shifted into bytes after parsing; the cap keeps
+  // the shift from overflowing.
+  constexpr uint64_t MaxMb = SIZE_MAX >> 20;
+  uint64_t CacheBudgetMb = Opts.CacheBudgetBytes >> 20;
+  P.u64("cache-budget-mb", CacheBudgetMb, "<n>",
+        "action-cache byte budget (default 256)", 0, MaxMb);
   bool NoMemo = false;
   P.flag("no-memo", NoMemo, "disable memoization (slow path only)");
   P.custom("jit", "on|off|auto",
@@ -90,7 +89,7 @@ int main(int Argc, char **Argv) {
              return true;
            });
   P.custom("jit-threshold", "<n>",
-           "visits before a block body or an entry trace\nis compiled "
+           "visits before a slow-engine region or an\nentry trace is compiled "
            "(default 32)",
            [&Opts](const std::string &V, std::string &Err) {
              if (!rt::parseJitThreshold(V, Opts.JitThreshold)) {
@@ -127,15 +126,11 @@ int main(int Argc, char **Argv) {
   P.u64("max-steps", Opts.StepLimit, "<n>",
         "step watchdog: fault (step-limit)\nafter n simulation steps "
         "(default off)");
-  P.custom("mem-budget", "<mb>",
-           "resident target-memory budget in MB;\nexceeding it faults "
-           "(default off)",
-           [&Opts](const std::string &V, std::string &) {
-             Opts.MemPageBudget = static_cast<size_t>(
-                 (std::strtoull(V.c_str(), nullptr, 10) << 20) /
-                 TargetMemory::PageSize);
-             return true;
-           });
+  uint64_t MemBudgetMb = 0;
+  P.u64("mem-budget", MemBudgetMb, "<mb>",
+        "resident target-memory budget in MB;\nexceeding it faults "
+        "(default off)",
+        0, MaxMb);
   P.custom("fault-inject", "<spec>",
            "seeded corruption campaign, e.g.\nseed:42,mem:0.01,cache:0.05,\n"
            "extern:0.001,plan:0.0001",
@@ -168,6 +163,10 @@ int main(int Argc, char **Argv) {
     return Rc;
   if (NoMemo)
     Opts.Memoize = false;
+  Opts.CacheBudgetBytes = static_cast<size_t>(CacheBudgetMb << 20);
+  if (P.seen("mem-budget"))
+    Opts.MemPageBudget =
+        static_cast<size_t>((MemBudgetMb << 20) / TargetMemory::PageSize);
 
   if (StorePromote && CacheStorePath.empty()) {
     std::fprintf(stderr, "error: --store-promote requires --cache-store\n");

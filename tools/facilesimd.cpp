@@ -117,7 +117,7 @@ int main(int argc, char **argv) {
              return true;
            });
   P.custom("jit-threshold", "<n>",
-           "visits before a block body or an entry trace\nis compiled "
+           "visits before a slow-engine region or an\nentry trace is compiled "
            "(default 32)",
            [&Opts](const std::string &V, std::string &Err) {
              uint32_t &T = Opts.DefaultSimOptions.JitThreshold;
