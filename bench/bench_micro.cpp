@@ -119,7 +119,8 @@ void BM_PipelineKeyHash(benchmark::State &State) {
 BENCHMARK(BM_PipelineKeyHash);
 
 /// CRC-32 throughput over a snapshot-sized buffer: every section of a
-/// FACSNAP2 file passes through it on load.
+/// FACSNAP2 checkpoint and of a FACSTOR1 cache image passes through it on
+/// load.
 void BM_Crc32(benchmark::State &State) {
   std::vector<uint8_t> Buf(16 << 20);
   for (size_t I = 0; I != Buf.size(); ++I)

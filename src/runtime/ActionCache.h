@@ -28,7 +28,8 @@
 ///    divergent step (see Simulation's CacheCorrupt fault).
 ///
 /// Every link is an *arena index*, never a pointer, which makes the whole
-/// cache relocatable: a sealed cache can be written out flat and mapped
+/// cache relocatable: a sealed cache can be written out flat (compactImage,
+/// then a FACSTOR1 image, see src/store/CacheStore.h) and mapped or copied
 /// back at any address. The cache exploits this with a two-level layout:
 /// an optional immutable *base* (BaseArenas — typically a read-only
 /// memory-mapped store file shared by many processes, see src/store/)
@@ -61,11 +62,6 @@
 #include <vector>
 
 namespace facile {
-
-namespace snapshot {
-class Writer;
-class Reader;
-} // namespace snapshot
 
 namespace telemetry {
 class MetricSink;
@@ -152,10 +148,10 @@ public:
     const uint32_t *KeyToEntry = nullptr; ///< per key: entry or NoId
   };
 
-  /// A self-contained, owned flat image of a cache: the promotion output
-  /// format. Produced by compactImage() without mutating the cache and
-  /// written to disk verbatim by the store writer; a deserialized snapshot
-  /// is staged in one before it is adopted.
+  /// A self-contained, owned flat image of a cache: what a saved cache file
+  /// and a store generation hold. Produced by compactImage() without
+  /// mutating the cache and written verbatim as a FACSTOR1 image by
+  /// store::buildStoreImage; a parsed image comes back as BaseArenas.
   struct FlatImage {
     std::vector<char> KeyPool;
     std::vector<KeyRecord> Keys;
@@ -542,25 +538,13 @@ public:
 
   //===-- Persistence --------------------------------------------------------
 
-  /// Writes the whole cache — key pool, key records, entry list, node
-  /// arena and data pool — flat into \p W. The probe
-  /// table is not written; it is rebuilt deterministically on load. With a
-  /// base attached the base and overlay are written merged (patches
-  /// applied, global ids preserved), so a snapshot of a store-backed
-  /// cache is an ordinary self-contained FACSNAP2 payload; a detached
-  /// cache serializes byte-identically to the pre-base format.
-  void serialize(snapshot::Writer &W) const;
-
-  /// Replaces this cache's contents with a serialized image. \p NumActions
-  /// is the consumer program's action count: every node's ActionId is
-  /// bounds-checked against it (replay indexes the ExecPlan's fast streams
-  /// by ActionId, so an out-of-range id would be an out-of-bounds read).
-  /// All links, key spans and data spans are validated; on any failure the
-  /// cache is left untouched and false is returned. Statistics are
-  /// preserved across the load. Outstanding EntryIds/KeyIds/node indices
-  /// are invalidated on success, and any attached base is dropped — a
-  /// loaded snapshot is always a private, owned cache.
-  bool deserialize(snapshot::Reader &R, uint32_t NumActions);
+  /// Replaces this cache's contents with a private, owned copy of \p Img —
+  /// typically a parsed FACSTOR1 image (store::parseStoreImage), which has
+  /// already validated every link, span, key hash and action id; the probe
+  /// table is rebuilt from the keys. Any attached base is dropped and
+  /// statistics are preserved. Outstanding EntryIds/KeyIds/node indices are
+  /// invalidated.
+  void loadImage(const BaseArenas &Img);
 
 private:
   void notePeak() {
@@ -570,8 +554,6 @@ private:
   }
 
   void growTable();
-  /// Installs \p Img as this cache's (owned) contents. Drops any base.
-  void adoptImage(FlatImage Img);
   /// Drops the overlay and re-seeds entries/key→entry from the base.
   void resetToBase();
 

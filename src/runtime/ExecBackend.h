@@ -80,7 +80,7 @@ public:
   /// deserializeState() replaced the dynamic-state vectors (their data
   /// pointers moved).
   virtual void onStateReplaced() {}
-  /// The action-cache arenas were rebuilt: eviction, deserializeCache(),
+  /// The action-cache arenas were rebuilt: eviction, loadCacheImage(),
   /// attachCacheBase() / detachCacheBase().
   virtual void onCacheRebuilt() {}
   /// mutablePlan() handed out a mutable reference to the plan this

@@ -482,19 +482,11 @@ bool Simulation::deserializeState(snapshot::Reader &R) {
   return true;
 }
 
-void Simulation::serializeCache(snapshot::Writer &W) const {
-  Cache.serialize(W);
-}
-
-bool Simulation::deserializeCache(snapshot::Reader &R) {
-  uint32_t NumActions = static_cast<uint32_t>(Plan->ActionOfs.size() - 1);
-  if (!Cache.deserialize(R, NumActions))
-    return false;
-  // deserialize() privatizes: the loaded image is owned, any base dropped.
+void Simulation::loadCacheImage(const ActionCache::BaseArenas &Img) {
+  Cache.loadImage(Img);
   CacheBaseKeepalive.reset();
   PendingEndNode = ActionNode::NoNode;
   Backend->onCacheRebuilt();
-  return true;
 }
 
 //===----------------------------------------------------------------------===//

@@ -324,13 +324,11 @@ public:
   /// simulation is untouched.
   bool deserializeState(snapshot::Reader &R);
 
-  /// Persistent action cache: save/load the whole cache. Loading resets
-  /// the INDEX chain (the next step re-interns its key) and validates all
-  /// node links against this program's action count; on failure the cache
-  /// is untouched and false is returned. Loading privatizes: any attached
-  /// store base is dropped and the loaded contents are owned outright.
-  void serializeCache(snapshot::Writer &W) const;
-  bool deserializeCache(snapshot::Reader &R);
+  /// Replaces the action cache with a private, owned copy of the validated
+  /// image \p Img (a parsed FACSTOR1 image, see store::parseStoreImage):
+  /// any attached store base is dropped and the INDEX chain reset (the
+  /// next step re-interns its key).
+  void loadCacheImage(const ActionCache::BaseArenas &Img);
 
   //===-- Shared cache store -------------------------------------------------
 

@@ -351,8 +351,18 @@ bool server::runProtocolSelftest(Client &C, std::string &Err,
   if (!check(!SnapB64.empty(), "snapshot-save returns bytes", Err))
     return false;
   if (!check(R.get("format") && R.get("format")->str() == "FACSNAP2",
-             "snapshot format is FACSNAP2", Err))
+             "checkpoint format is FACSNAP2", Err))
     return false;
+  // The action cache travels as a FACSTOR1 image (the cache-store format).
+  if (!okRpc(C,
+             withSession(R"({"id":60,"verb":"snapshot-save","session":%lld,)"
+                         R"("kind":"cache"})"),
+             R, Err))
+    return false;
+  if (!check(R.get("format") && R.get("format")->str() == "FACSTOR1",
+             "cache format is FACSTOR1", Err))
+    return false;
+  std::string CacheB64 = R.get("bytes_b64") ? R.get("bytes_b64")->str() : "";
 
   // Run further, then rewind by loading the snapshot back into the same
   // session: the digest must return to its at-snapshot value.
@@ -406,6 +416,16 @@ bool server::runProtocolSelftest(Client &C, std::string &Err,
       .field("bytes_b64", std::string_view(SnapB64))
       .endObject();
   if (!okRpc(C, LoadReq2.take(), R, Err))
+    return false;
+  json::Writer LoadCacheReq;
+  LoadCacheReq.beginObject()
+      .field("id", static_cast<int64_t>(61))
+      .field("verb", "snapshot-load")
+      .field("session", Sess2)
+      .field("kind", "cache")
+      .field("bytes_b64", std::string_view(CacheB64))
+      .endObject();
+  if (!okRpc(C, LoadCacheReq.take(), R, Err))
     return false;
   if (!C.rpc(strFormat(R"({"id":13,"verb":"inspect","session":%lld,)"
                        R"("what":"digest"})",

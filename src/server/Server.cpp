@@ -223,7 +223,7 @@ struct Spilled {
   std::string PoolKey;
   uint64_t StepDelayUs = 0;
   std::vector<uint8_t> Checkpoint; ///< FACSNAP2 checkpoint container
-  std::vector<uint8_t> CacheBytes; ///< FACSNAP2 cache container (memoizing)
+  std::vector<uint8_t> CacheBytes; ///< FACSTOR1 cache image (memoizing)
   uint64_t Seq = 0;                ///< spill order, oldest dropped first
 
   size_t bytes() const { return Checkpoint.size() + CacheBytes.size(); }
@@ -1365,7 +1365,7 @@ std::string FacileServer::Impl::verbSnapshotSave(const json::Value &Req,
   json::Writer W;
   beginOkResponse(W, Id);
   W.field("kind", std::string_view(Kind));
-  W.field("format", "FACSNAP2");
+  W.field("format", Kind == "cache" ? "FACSTOR1" : "FACSNAP2");
   W.field("size", static_cast<uint64_t>(Bytes.size()));
   W.field("bytes_b64", base64Encode(Bytes));
   W.endObject();

@@ -76,7 +76,7 @@ struct ServerOptions {
   /// in-flight request for this long ("idle-timeout" error first). 0 off.
   uint64_t ConnIdleTimeoutMs = 300000;
   /// Idle-session reap: a session with no verb for this long is spilled to
-  /// a FACSNAP2 snapshot (checkpoint + cache) and destroyed; a later
+  /// a FACSNAP2 checkpoint plus a FACSTOR1 cache image and destroyed; a later
   /// create with its "resume_token" restores it warm. 0 disables.
   uint64_t SessionIdleTtlMs = 0;
   /// Byte budget for spilled sessions; the oldest spills are dropped first.

@@ -134,7 +134,7 @@ std::vector<uint8_t> FacileSim::checkpointBytes() const {
   BU.serialize(BuW);
   MH.serialize(MhW);
   return snapshot::buildContainer(
-      snapshot::PayloadKind::Checkpoint, Sim.compatKey(),
+      Sim.compatKey(),
       {snapshot::sectionOf(snapshot::SecSimState, SimW.buffer()),
        snapshot::sectionOf(snapshot::SecMemory, MemW.buffer()),
        snapshot::sectionOf(snapshot::SecBranchUnit, BuW.buffer()),
@@ -142,11 +142,8 @@ std::vector<uint8_t> FacileSim::checkpointBytes() const {
 }
 
 std::vector<uint8_t> FacileSim::cacheBytes() const {
-  snapshot::Writer W;
-  Sim.serializeCache(W);
-  return snapshot::buildContainer(
-      snapshot::PayloadKind::ActionCache, Sim.compatKey(),
-      {snapshot::sectionOf(snapshot::SecActionCache, W.buffer())});
+  return store::buildStoreImage(Sim.cache().compactImage(), Sim.compatKey(),
+                                Sim.actionCount(), /*Generation=*/0);
 }
 
 bool FacileSim::noteLoadFailure(const char *What, const std::string &Detail,
@@ -180,8 +177,7 @@ bool FacileSim::loadCheckpointBytes(const std::vector<uint8_t> &Bytes,
   std::vector<snapshot::Section> Sections;
   std::string Detail;
   snapshot::LoadStatus St = snapshot::parseContainer(
-      Bytes.data(), Bytes.size(), snapshot::PayloadKind::Checkpoint,
-      Sim.compatKey(), Sections, Detail);
+      Bytes.data(), Bytes.size(), Sim.compatKey(), Sections, Detail);
   if (St != snapshot::LoadStatus::Ok) {
     if (St == snapshot::LoadStatus::CompatMismatch)
       ++SnapStats.CompatMismatches;
@@ -253,11 +249,11 @@ bool FacileSim::loadCheckpointBytes(const std::vector<uint8_t> &Bytes,
 bool FacileSim::loadCacheBytes(const std::vector<uint8_t> &Bytes,
                                std::string *Err) {
   SnapStats.BytesRead += Bytes.size();
-  std::vector<snapshot::Section> Sections;
+  store::StoreImage Img;
   std::string Detail;
-  snapshot::LoadStatus St = snapshot::parseContainer(
-      Bytes.data(), Bytes.size(), snapshot::PayloadKind::ActionCache,
-      Sim.compatKey(), Sections, Detail);
+  snapshot::LoadStatus St =
+      store::parseStoreImage(Bytes.data(), Bytes.size(), Sim.compatKey(),
+                             Sim.actionCount(), Img, Detail);
   if (St != snapshot::LoadStatus::Ok) {
     if (St == snapshot::LoadStatus::CompatMismatch)
       ++SnapStats.CompatMismatches;
@@ -265,17 +261,7 @@ bool FacileSim::loadCacheBytes(const std::vector<uint8_t> &Bytes,
       ++SnapStats.CorruptInputs;
     return noteLoadFailure("action cache rejected", Detail, Err);
   }
-  const snapshot::Section *Sec =
-      findSection(Sections, snapshot::SecActionCache);
-  if (!Sec) {
-    ++SnapStats.CorruptInputs;
-    return noteLoadFailure("action cache rejected", "missing section", Err);
-  }
-  snapshot::Reader R(Sec->Data, Sec->Len);
-  if (!Sim.deserializeCache(R) || !R.atEnd()) {
-    ++SnapStats.CorruptInputs;
-    return noteLoadFailure("action cache rejected", "bad cache section", Err);
-  }
+  Sim.loadCacheImage(Img.Arenas);
   SnapStats.CacheLoaded = true;
   SnapStats.CacheEntriesLoaded = Sim.cache().entryCount();
   SnapStats.CacheNodesLoaded = Sim.cache().nodeCount();
@@ -364,10 +350,8 @@ bool FacileSim::attachStore(store::CacheStoreDir &Store, std::string *Err) {
 
 bool FacileSim::promoteStore(store::CacheStoreDir &Store,
                              uint64_t *OutGeneration, std::string *Err) {
-  rt::ActionCache::FlatImage Img =
-      Sim.cache().compactImage();
-  return Store.promote(Img, Sim.compatKey(), Sim.actionCount(), OutGeneration,
-                       Err);
+  return Store.promote(Sim.cache().compactImage(), Sim.compatKey(),
+                       Sim.actionCount(), OutGeneration, Err);
 }
 
 //===----------------------------------------------------------------------===//

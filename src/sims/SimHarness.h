@@ -129,10 +129,13 @@ public:
   /// state, bound to this instance's compatibility key.
   std::vector<uint8_t> checkpointBytes() const;
 
-  /// Builds a persistent action-cache container for warm-start replay.
+  /// Builds the persistent action cache for warm-start replay: a FACSTOR1
+  /// image (store::buildStoreImage, generation 0) of the compacted cache,
+  /// holding only live entries.
   std::vector<uint8_t> cacheBytes() const;
 
-  /// Restores a checkpoint/action-cache container. All-or-nothing: on any
+  /// Restores a checkpoint container / a FACSTOR1 action-cache image; a
+  /// loaded cache is a private, owned copy. All-or-nothing: on any
   /// mismatch or corruption the simulation is left exactly as it was (a
   /// cold start), false is returned, and a diagnostic lands in \p Err when
   /// given, else on stderr. Never aborts on bad input.

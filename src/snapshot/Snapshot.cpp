@@ -2,9 +2,12 @@
 
 #include "src/snapshot/Snapshot.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 namespace facile {
 namespace snapshot {
@@ -36,12 +39,12 @@ const char *loadStatusName(LoadStatus St) {
   return "?";
 }
 
-std::vector<uint8_t> buildContainer(PayloadKind Kind, uint64_t CompatKey,
+std::vector<uint8_t> buildContainer(uint64_t CompatKey,
                                     const std::vector<Section> &Sections) {
   Writer W;
   W.bytes(Magic, sizeof(Magic));
   W.u32(FormatVersion);
-  W.u32(static_cast<uint32_t>(Kind));
+  W.u32(CheckpointKind);
   W.u64(CompatKey);
   W.u32(static_cast<uint32_t>(Sections.size()));
   W.u32(crc32(W.buffer().data(), W.size()));
@@ -54,9 +57,8 @@ std::vector<uint8_t> buildContainer(PayloadKind Kind, uint64_t CompatKey,
   return W.take();
 }
 
-LoadStatus parseContainer(const uint8_t *Data, size_t Len, PayloadKind Kind,
-                          uint64_t CompatKey, std::vector<Section> &Out,
-                          std::string &Err) {
+LoadStatus parseContainer(const uint8_t *Data, size_t Len, uint64_t CompatKey,
+                          std::vector<Section> &Out, std::string &Err) {
   Reader R(Data, Len);
   char M[8] = {};
   R.bytes(M, sizeof(M));
@@ -81,9 +83,9 @@ LoadStatus parseContainer(const uint8_t *Data, size_t Len, PayloadKind Kind,
     Err = "unsupported snapshot format version " + std::to_string(Version);
     return LoadStatus::BadFormat;
   }
-  if (FileKind != static_cast<uint32_t>(Kind)) {
+  if (FileKind != CheckpointKind) {
     Err = "snapshot holds payload kind " + std::to_string(FileKind) +
-          ", expected " + std::to_string(static_cast<uint32_t>(Kind));
+          ", expected " + std::to_string(CheckpointKind) + " (checkpoint)";
     return LoadStatus::BadFormat;
   }
   if (FileCompat != CompatKey) {
@@ -124,24 +126,25 @@ LoadStatus parseContainer(const uint8_t *Data, size_t Len, PayloadKind Kind,
 
 bool writeFileBytes(const std::string &Path, const std::vector<uint8_t> &Bytes,
                     std::string &Err) {
-  std::string Tmp = Path + ".tmp";
+  std::string Tmp =
+      Path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
   std::FILE *File = std::fopen(Tmp.c_str(), "wb");
   if (!File) {
-    Err = "cannot open '" + Tmp + "' for writing";
+    Err = "cannot create '" + Tmp + "': " + std::strerror(errno);
     return false;
   }
-  size_t N = Bytes.empty()
-                 ? 0
-                 : std::fwrite(Bytes.data(), 1, Bytes.size(), File);
-  bool CloseOk = std::fclose(File) == 0;
-  if (N != Bytes.size() || !CloseOk) {
+  bool Ok = Bytes.empty() ||
+            std::fwrite(Bytes.data(), 1, Bytes.size(), File) == Bytes.size();
+  Ok = std::fclose(File) == 0 && Ok;
+  if (!Ok) {
     std::remove(Tmp.c_str());
     Err = "short write to '" + Tmp + "'";
     return false;
   }
   if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
+    Err = "cannot rename '" + Tmp + "' to '" + Path +
+          "': " + std::strerror(errno);
     std::remove(Tmp.c_str());
-    Err = "cannot rename '" + Tmp + "' to '" + Path + "'";
     return false;
   }
   return true;

@@ -5,24 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The on-disk container for persisted simulation state. The paper's whole
-/// premise is that simulation work is redundant; persisting the action
-/// cache and full simulation checkpoints extends that memoization from
-/// intra-run to inter-run, so a process can warm-start instead of paying
-/// slow-simulator warmup again.
-///
-/// One container holds one payload kind:
-///
-///  - **Checkpoint** — complete dynamic simulation state (target memory,
-///    globals/arrays/slots, cycle and retired counters, extern-unit state)
-///    so a run can stop and resume bit-identically;
-///  - **ActionCache** — the interned key pool, node arena and data pool of
-///    rt::ActionCache, reloaded for warm-start replay.
+/// The on-disk container for checkpoints: complete dynamic simulation
+/// state (target memory, globals/arrays/slots, cycle and retired counters,
+/// extern-unit state) so a run can stop and resume bit-identically. The
+/// paper's whole premise is that simulation work is redundant; a
+/// checkpoint plus a saved action cache extends that memoization from
+/// intra-run to inter-run. Saved action caches are not FACSNAP2
+/// containers: they are FACSTOR1 images, the same format as a cache-store
+/// generation (src/store/CacheStore.h).
 ///
 /// Layout (all integers little-endian):
 ///
 ///   header:   magic "FACSNAP2" (8) | format version u32 | payload kind u32
-///             | compat key u64 | section count u32 | header CRC-32 u32
+///             (always 1, checkpoint) | compat key u64 | section count u32
+///             | header CRC-32 u32
 ///   sections: tag u32 | payload length u64 | payload CRC-32 u32 | payload
 ///
 /// The compat key binds a payload to the exact producer configuration — a
@@ -50,18 +46,15 @@ namespace snapshot {
 /// Bumped whenever the container or any payload layout changes.
 inline constexpr uint32_t FormatVersion = 4;
 
-/// What a container holds.
-enum class PayloadKind : uint32_t {
-  Checkpoint = 1,  ///< full dynamic simulation state
-  ActionCache = 2, ///< persistent action cache for warm-start replay
-};
+/// The header's payload-kind word. Checkpoints are the only kind; kind 2
+/// (the retired action-cache payload) is rejected as a bad format.
+inline constexpr uint32_t CheckpointKind = 1;
 
 /// Section tags (payload framing inside a container).
 inline constexpr uint32_t SecSimState = 0x4d495353u;  // "SSIM"
 inline constexpr uint32_t SecMemory = 0x4d454d53u;    // "SMEM"
 inline constexpr uint32_t SecBranchUnit = 0x55504253u; // "SBPU"
 inline constexpr uint32_t SecMemHier = 0x52484d53u;   // "SMHR"
-inline constexpr uint32_t SecActionCache = 0x48434153u; // "SACH"
 
 /// One framed payload inside a container: a tagged view of bytes owned by
 /// someone else (the producer's buffers when building, the file image when
@@ -77,11 +70,12 @@ inline Section sectionOf(uint32_t Tag, const std::vector<uint8_t> &Bytes) {
   return {Tag, Bytes.data(), Bytes.size()};
 }
 
-/// Why a load failed (Ok means it did not).
+/// Why a load failed (Ok means it did not). Shared by the FACSNAP2 and
+/// FACSTOR1 parsers.
 enum class LoadStatus {
   Ok,
   IoError,        ///< file missing/unreadable
-  BadFormat,      ///< not a snapshot, wrong version, or wrong payload kind
+  BadFormat,      ///< wrong magic, version or payload kind
   CompatMismatch, ///< valid container produced under a different config
   Corrupt,        ///< truncated, CRC mismatch, or inconsistent framing
 };
@@ -89,20 +83,22 @@ enum class LoadStatus {
 /// Human-readable status name for diagnostics.
 const char *loadStatusName(LoadStatus St);
 
-/// Serializes \p Sections into one container image.
-std::vector<uint8_t> buildContainer(PayloadKind Kind, uint64_t CompatKey,
+/// Serializes \p Sections into one checkpoint container image.
+std::vector<uint8_t> buildContainer(uint64_t CompatKey,
                                     const std::vector<Section> &Sections);
 
 /// Parses a container image, verifying magic, version, kind, compat key,
 /// header CRC and every section CRC before returning any data. The
 /// sections in \p Out point into \p Data, which must outlive them. On
 /// failure \p Out is untouched and \p Err describes the problem.
-LoadStatus parseContainer(const uint8_t *Data, size_t Len, PayloadKind Kind,
-                          uint64_t CompatKey, std::vector<Section> &Out,
-                          std::string &Err);
+LoadStatus parseContainer(const uint8_t *Data, size_t Len, uint64_t CompatKey,
+                          std::vector<Section> &Out, std::string &Err);
 
-/// Writes \p Bytes to \p Path atomically-ish (best effort). Returns false
-/// with \p Err set on I/O failure.
+/// Writes \p Bytes to \p Path through a temporary file named after the
+/// path and this process's pid, then an atomic rename: a reader sees the
+/// old file or the complete new one, never a torn write, and two processes
+/// saving the same path never share a temporary. Returns false with \p Err
+/// set on I/O failure.
 bool writeFileBytes(const std::string &Path, const std::vector<uint8_t> &Bytes,
                     std::string &Err);
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 
@@ -26,9 +27,24 @@ constexpr char StoreMagic[8] = {'F', 'A', 'C', 'S', 'T', 'O', 'R', '1'};
 constexpr size_t HeaderSize = 64;
 constexpr size_t SectionEntrySize = 32;
 constexpr uint32_t NumSections = 8;
+/// The header and section table; the first section starts here.
+constexpr size_t TableEnd = HeaderSize + NumSections * SectionEntrySize;
 
 /// Header CRC covers everything before the CRC field itself.
 constexpr size_t HeaderCrcOfs = 44;
+
+/// Section tags in file order.
+constexpr uint32_t SectionTags[NumSections] = {
+    SecNodes,   SecSeals,      SecData,    SecKeyPool,
+    SecKeyRecs, SecKeyToEntry, SecEntries, SecKeyTable};
+
+/// ActionNode's padding between the kind byte and DataOfs: zeroed in every
+/// image so images of equal content are bit-identical.
+constexpr size_t NodePadOfs =
+    offsetof(ActionNode, K) + sizeof(ActionNode::Kind);
+constexpr size_t NodePadLen = offsetof(ActionNode, DataOfs) - NodePadOfs;
+
+size_t align8(size_t N) { return (N + 7) & ~size_t(7); }
 
 void putU32(std::vector<uint8_t> &Buf, size_t Ofs, uint32_t V) {
   std::memcpy(Buf.data() + Ofs, &V, 4);
@@ -46,12 +62,12 @@ uint64_t getU64(const uint8_t *P) {
   std::memcpy(&V, P, 8);
   return V;
 }
-
-struct SectionDesc {
-  uint32_t Tag;
-  const void *Bytes;
-  uint64_t Len;
-};
+bool allZero(const uint8_t *P, size_t Len) {
+  for (size_t I = 0; I != Len; ++I)
+    if (P[I] != 0)
+      return false;
+  return true;
+}
 
 } // namespace
 
@@ -59,48 +75,29 @@ struct SectionDesc {
 // Writer
 //===----------------------------------------------------------------------===//
 
-bool facile::store::writeStoreFile(const std::string &Path,
-                                   const ActionCache::FlatImage &Img,
-                                   uint64_t CompatKey, uint32_t NumActions,
-                                   uint64_t Generation, std::string &Err) {
-  // Stage the nodes with padding bytes forced to zero: the arena is
-  // written (and CRC'd) raw, and ActionNode has 3 padding bytes after the
-  // kind whose values memcpy would otherwise leak — store files of equal
-  // content must be bit-identical.
-  std::vector<ActionNode> Nodes(Img.Nodes.size());
-  if (!Nodes.empty())
-    std::memset(static_cast<void *>(Nodes.data()), 0,
-                Nodes.size() * sizeof(ActionNode));
-  for (size_t I = 0; I != Nodes.size(); ++I) {
-    const ActionNode &S = Img.Nodes[I];
-    ActionNode &D = Nodes[I];
-    D.ActionId = S.ActionId;
-    D.K = S.K;
-    D.DataOfs = S.DataOfs;
-    D.DataLen = S.DataLen;
-    D.Next = S.Next;
-    D.OnValue[0] = S.OnValue[0];
-    D.OnValue[1] = S.OnValue[1];
-    D.NextKey = S.NextKey;
-  }
+std::vector<uint8_t>
+facile::store::buildStoreImage(const ActionCache::FlatImage &Img,
+                               uint64_t CompatKey, uint32_t NumActions,
+                               uint64_t Generation) {
   std::vector<uint32_t> Table = ActionCache::buildProbeTable(Img.Keys);
-
+  struct SectionDesc {
+    const void *Bytes;
+    uint64_t Len;
+  };
   const SectionDesc Sections[NumSections] = {
-      {SecNodes, Nodes.data(), Nodes.size() * sizeof(ActionNode)},
-      {SecSeals, Img.Seals.data(), Img.Seals.size() * 8},
-      {SecData, Img.Data.data(), Img.Data.size() * 8},
-      {SecKeyPool, Img.KeyPool.data(), Img.KeyPool.size()},
-      {SecKeyRecs, Img.Keys.data(),
-       Img.Keys.size() * sizeof(ActionCache::KeyRecord)},
-      {SecKeyToEntry, Img.KeyToEntry.data(), Img.KeyToEntry.size() * 4},
-      {SecEntries, Img.Entries.data(), Img.Entries.size() * sizeof(CacheEntry)},
-      {SecKeyTable, Table.data(), Table.size() * 4},
+      {Img.Nodes.data(), Img.Nodes.size() * sizeof(ActionNode)},
+      {Img.Seals.data(), Img.Seals.size() * 8},
+      {Img.Data.data(), Img.Data.size() * 8},
+      {Img.KeyPool.data(), Img.KeyPool.size()},
+      {Img.Keys.data(), Img.Keys.size() * sizeof(ActionCache::KeyRecord)},
+      {Img.KeyToEntry.data(), Img.KeyToEntry.size() * 4},
+      {Img.Entries.data(), Img.Entries.size() * sizeof(CacheEntry)},
+      {Table.data(), Table.size() * 4},
   };
 
-  size_t TableOfs = HeaderSize;
-  size_t Total = HeaderSize + NumSections * SectionEntrySize;
+  size_t Total = TableEnd;
   for (const SectionDesc &S : Sections)
-    Total = ((Total + 7) & ~size_t(7)) + S.Len;
+    Total = align8(Total) + S.Len;
 
   std::vector<uint8_t> Buf(Total, 0);
   std::memcpy(Buf.data(), StoreMagic, 8);
@@ -111,60 +108,35 @@ bool facile::store::writeStoreFile(const std::string &Path,
   putU32(Buf, 40, NumSections);
   putU32(Buf, HeaderCrcOfs, snapshot::crc32(Buf.data(), HeaderCrcOfs));
 
-  size_t Ofs = HeaderSize + NumSections * SectionEntrySize;
+  size_t Ofs = TableEnd;
   for (uint32_t I = 0; I != NumSections; ++I) {
     const SectionDesc &S = Sections[I];
-    Ofs = (Ofs + 7) & ~size_t(7);
+    Ofs = align8(Ofs);
     if (S.Len != 0)
       std::memcpy(Buf.data() + Ofs, S.Bytes, S.Len);
-    size_t E = TableOfs + I * SectionEntrySize;
-    putU32(Buf, E, S.Tag);
+    if (I == 0)
+      for (size_t N = 0; N != Img.Nodes.size(); ++N)
+        std::memset(Buf.data() + Ofs + N * sizeof(ActionNode) + NodePadOfs, 0,
+                    NodePadLen);
+    size_t E = HeaderSize + I * SectionEntrySize;
+    putU32(Buf, E, SectionTags[I]);
     putU64(Buf, E + 8, Ofs);
     putU64(Buf, E + 16, S.Len);
     putU32(Buf, E + 24, snapshot::crc32(Buf.data() + Ofs, S.Len));
     Ofs += S.Len;
   }
-
-  // Temporary file + rename: a reader either sees the old generation set
-  // or the complete new file, never a torn write.
-  std::string Tmp =
-      Path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  FILE *F = std::fopen(Tmp.c_str(), "wb");
-  if (!F) {
-    Err = "cannot create '" + Tmp + "': " + std::strerror(errno);
-    return false;
-  }
-  bool Ok = Buf.empty() || std::fwrite(Buf.data(), 1, Buf.size(), F) ==
-                               Buf.size();
-  Ok = std::fclose(F) == 0 && Ok;
-  if (!Ok) {
-    Err = "short write to '" + Tmp + "'";
-    ::unlink(Tmp.c_str());
-    return false;
-  }
-  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    Err = "cannot rename '" + Tmp + "' to '" + Path +
-          "': " + std::strerror(errno);
-    ::unlink(Tmp.c_str());
-    return false;
-  }
-  return true;
+  return Buf;
 }
 
 //===----------------------------------------------------------------------===//
-// StoreMap
+// Parser
 //===----------------------------------------------------------------------===//
-
-StoreMap::~StoreMap() {
-  if (Map)
-    ::munmap(Map, MapLen);
-}
 
 namespace {
 
-/// Structural validation of the mapped arenas — the exact rules
-/// ActionCache::deserialize enforces on a loaded snapshot, applied to the
-/// mapping before any replay walks it.
+/// Structural validation of the arenas before any replay walks them: every
+/// link, span and action id in bounds, key hashes recomputed, key→entry
+/// consistent, and the persisted probe table usable as is.
 bool validateArenas(const ActionCache::BaseArenas &A, uint32_t NumActions,
                     std::string &Err) {
   for (uint32_t K = 0; K != A.NumKeys; ++K) {
@@ -260,116 +232,100 @@ bool validateArenas(const ActionCache::BaseArenas &A, uint32_t NumActions,
 
 } // namespace
 
-std::shared_ptr<const StoreMap> StoreMap::open(const std::string &Path,
-                                               uint64_t CompatKey,
-                                               uint32_t NumActions,
-                                               std::string &Err) {
-  int Fd = ::open(Path.c_str(), O_RDONLY);
-  if (Fd < 0) {
-    Err = "cannot open '" + Path + "': " + std::strerror(errno);
-    return nullptr;
+snapshot::LoadStatus facile::store::parseStoreImage(const uint8_t *B,
+                                                   size_t Len,
+                                                   uint64_t CompatKey,
+                                                   uint32_t NumActions,
+                                                   StoreImage &Out,
+                                                   std::string &Err) {
+  using snapshot::LoadStatus;
+  if (Len < 8 || std::memcmp(B, StoreMagic, 8) != 0) {
+    Err = "not a FACSTOR1 cache image";
+    return LoadStatus::BadFormat;
   }
-  struct stat St;
-  if (::fstat(Fd, &St) != 0 || St.st_size < 0) {
-    Err = "cannot stat '" + Path + "'";
-    ::close(Fd);
-    return nullptr;
+  if (Len < TableEnd) {
+    Err = "truncated store header";
+    return LoadStatus::Corrupt;
   }
-  size_t Len = static_cast<size_t>(St.st_size);
-  if (Len < HeaderSize + NumSections * SectionEntrySize) {
-    Err = "'" + Path + "' is too small to be a store file";
-    ::close(Fd);
-    return nullptr;
-  }
-  void *M = ::mmap(nullptr, Len, PROT_READ, MAP_SHARED, Fd, 0);
-  ::close(Fd); // the mapping keeps the file alive
-  if (M == MAP_FAILED) {
-    Err = "cannot map '" + Path + "': " + std::strerror(errno);
-    return nullptr;
-  }
-
-  // From here every failure unmaps via the owning object.
-  std::shared_ptr<StoreMap> SM(new StoreMap());
-  SM->Map = M;
-  SM->MapLen = Len;
-  SM->FilePath = Path;
-  const uint8_t *B = static_cast<const uint8_t *>(M);
-
-  if (std::memcmp(B, StoreMagic, 8) != 0) {
-    Err = "'" + Path + "' is not a FACSTOR1 store file";
-    return nullptr;
+  // The arenas are viewed in place, so they must sit at their natural
+  // alignment; sections are 8-aligned relative to the image base.
+  if (reinterpret_cast<uintptr_t>(B) % 8 != 0) {
+    Err = "store image is not 8-byte aligned in memory";
+    return LoadStatus::Corrupt;
   }
   if (uint32_t Version = getU32(B + 8); Version != StoreVersion) {
     Err = "unsupported store format version " + std::to_string(Version);
-    return nullptr;
+    return LoadStatus::BadFormat;
   }
   if (snapshot::crc32(B, HeaderCrcOfs) != getU32(B + HeaderCrcOfs)) {
     Err = "store header CRC mismatch";
-    return nullptr;
+    return LoadStatus::Corrupt;
   }
-  SM->NumActionsV = getU32(B + 12);
-  SM->CompatKeyV = getU64(B + 16);
-  SM->GenerationV = getU64(B + 24);
-  if (SM->CompatKeyV != CompatKey) {
+  if (getU64(B + 16) != CompatKey) {
     Err = "store compatibility key mismatch";
-    return nullptr;
+    return LoadStatus::CompatMismatch;
   }
-  if (SM->NumActionsV != NumActions) {
+  if (getU32(B + 12) != NumActions) {
     Err = "store action count mismatch";
-    return nullptr;
+    return LoadStatus::CompatMismatch;
   }
   if (getU32(B + 40) != NumSections) {
     Err = "unexpected store section count";
-    return nullptr;
+    return LoadStatus::Corrupt;
+  }
+  if (!allZero(B + 32, 8) || !allZero(B + 48, HeaderSize - 48)) {
+    Err = "nonzero reserved store header bytes";
+    return LoadStatus::Corrupt;
   }
 
-  // Locate, bound-check and checksum every section.
+  // The section table must describe exactly the writer's layout: the
+  // sections in tag order, each at the next 8-aligned offset, zero gaps,
+  // zero reserved words and nothing after the last section.
   struct Sec {
-    uint64_t Ofs = 0, Len = 0;
-    bool Seen = false;
-  };
-  Sec ByTag[NumSections];
-  const uint32_t Want[NumSections] = {SecNodes,      SecSeals,   SecData,
-                                      SecKeyPool,    SecKeyRecs, SecKeyToEntry,
-                                      SecEntries,    SecKeyTable};
+    uint64_t Ofs, Len;
+  } S[NumSections];
+  size_t End = TableEnd;
   for (uint32_t I = 0; I != NumSections; ++I) {
     const uint8_t *E = B + HeaderSize + I * SectionEntrySize;
-    uint32_t Tag = getU32(E);
-    uint64_t Ofs = getU64(E + 8);
-    uint64_t SLen = getU64(E + 16);
-    uint32_t Crc = getU32(E + 24);
-    if (Ofs % 8 != 0 || Ofs > Len || SLen > Len - Ofs) {
-      Err = "store section out of file bounds";
-      return nullptr;
+    if (getU32(E) != SectionTags[I]) {
+      Err = "unexpected store section tag";
+      return LoadStatus::Corrupt;
     }
-    if (snapshot::crc32(B + Ofs, static_cast<size_t>(SLen)) != Crc) {
+    if (!allZero(E + 4, 4) || !allZero(E + 28, 4)) {
+      Err = "nonzero reserved store section-table bytes";
+      return LoadStatus::Corrupt;
+    }
+    S[I] = {getU64(E + 8), getU64(E + 16)};
+    if (S[I].Ofs != align8(End) || S[I].Ofs > Len ||
+        S[I].Len > Len - S[I].Ofs) {
+      Err = "store section out of place";
+      return LoadStatus::Corrupt;
+    }
+    if (!allZero(B + End, S[I].Ofs - End)) {
+      Err = "nonzero store section padding";
+      return LoadStatus::Corrupt;
+    }
+    if (snapshot::crc32(B + S[I].Ofs, static_cast<size_t>(S[I].Len)) !=
+        getU32(E + 24)) {
       Err = "store section CRC mismatch";
-      return nullptr;
+      return LoadStatus::Corrupt;
     }
-    for (uint32_t W = 0; W != NumSections; ++W)
-      if (Want[W] == Tag) {
-        if (ByTag[W].Seen) {
-          Err = "duplicate store section";
-          return nullptr;
-        }
-        ByTag[W] = {Ofs, SLen, true};
-      }
+    End = S[I].Ofs + S[I].Len;
   }
-  for (uint32_t W = 0; W != NumSections; ++W)
-    if (!ByTag[W].Seen) {
-      Err = "missing store section";
-      return nullptr;
-    }
+  if (End != Len) {
+    Err = "trailing bytes after the final store section";
+    return LoadStatus::Corrupt;
+  }
 
   // Element-size framing, then the arena views.
-  const Sec &Nd = ByTag[0], &Sl = ByTag[1], &Dt = ByTag[2], &Kp = ByTag[3],
-            &Kr = ByTag[4], &K2 = ByTag[5], &En = ByTag[6], &Kt = ByTag[7];
+  const Sec &Nd = S[0], &Sl = S[1], &Dt = S[2], &Kp = S[3], &Kr = S[4],
+            &K2 = S[5], &En = S[6], &Kt = S[7];
   if (Nd.Len % sizeof(ActionNode) != 0 ||
       Kr.Len % sizeof(ActionCache::KeyRecord) != 0 ||
       En.Len % sizeof(CacheEntry) != 0 || Dt.Len % 8 != 0 || K2.Len % 4 != 0 ||
       Kt.Len % 4 != 0) {
     Err = "store section length not a multiple of its element size";
-    return nullptr;
+    return LoadStatus::Corrupt;
   }
   uint64_t NumNodes = Nd.Len / sizeof(ActionNode);
   uint64_t NumKeys = Kr.Len / sizeof(ActionCache::KeyRecord);
@@ -377,18 +333,18 @@ std::shared_ptr<const StoreMap> StoreMap::open(const std::string &Path,
   if (NumNodes >= ActionNode::NoNode || NumKeys >= NoId ||
       NumEntries >= NoId) {
     Err = "store arena count overflows its id space";
-    return nullptr;
+    return LoadStatus::Corrupt;
   }
   if (Sl.Len != NumNodes * 8) {
     Err = "seal array does not match the node arena";
-    return nullptr;
+    return LoadStatus::Corrupt;
   }
   if (K2.Len != NumKeys * 4) {
     Err = "key-to-entry map does not match the key table";
-    return nullptr;
+    return LoadStatus::Corrupt;
   }
 
-  ActionCache::BaseArenas &A = SM->Arenas;
+  ActionCache::BaseArenas A;
   A.Nodes = reinterpret_cast<const ActionNode *>(B + Nd.Ofs);
   A.NumNodes = static_cast<uint32_t>(NumNodes);
   A.Seals = reinterpret_cast<const uint64_t *>(B + Sl.Ofs);
@@ -403,11 +359,55 @@ std::shared_ptr<const StoreMap> StoreMap::open(const std::string &Path,
   A.Entries = reinterpret_cast<const CacheEntry *>(B + En.Ofs);
   A.NumEntries = static_cast<uint32_t>(NumEntries);
   A.KeyToEntry = reinterpret_cast<const uint32_t *>(B + K2.Ofs);
+  if (!validateArenas(A, NumActions, Err))
+    return LoadStatus::Corrupt;
+  Out.Arenas = A;
+  Out.Generation = getU64(B + 24);
+  return LoadStatus::Ok;
+}
 
-  if (!validateArenas(A, NumActions, Err)) {
-    Err = "'" + Path + "': " + Err;
+//===----------------------------------------------------------------------===//
+// StoreMap
+//===----------------------------------------------------------------------===//
+
+StoreMap::~StoreMap() {
+  if (Map)
+    ::munmap(Map, MapLen);
+}
+
+std::shared_ptr<const StoreMap> StoreMap::open(const std::string &Path,
+                                               uint64_t CompatKey,
+                                               uint32_t NumActions,
+                                               std::string &Err) {
+  int Fd = ::open(Path.c_str(), O_RDONLY);
+  if (Fd < 0) {
+    Err = "cannot open '" + Path + "': " + std::strerror(errno);
     return nullptr;
   }
+  struct stat St;
+  if (::fstat(Fd, &St) != 0 || St.st_size <= 0) {
+    Err = "'" + Path + "' is empty or cannot be read";
+    ::close(Fd);
+    return nullptr;
+  }
+  size_t Len = static_cast<size_t>(St.st_size);
+  void *M = ::mmap(nullptr, Len, PROT_READ, MAP_SHARED, Fd, 0);
+  ::close(Fd); // the mapping keeps the file alive
+  if (M == MAP_FAILED) {
+    Err = "cannot map '" + Path + "': " + std::strerror(errno);
+    return nullptr;
+  }
+
+  // From here every failure unmaps via the owning object.
+  std::shared_ptr<StoreMap> SM(new StoreMap());
+  SM->Map = M;
+  SM->MapLen = Len;
+  SM->FilePath = Path;
+  if (parseStoreImage(static_cast<const uint8_t *>(M), Len, CompatKey,
+                      NumActions, SM->Image, Err) != snapshot::LoadStatus::Ok)
+    return nullptr;
+  SM->CompatKeyV = CompatKey;
+  SM->NumActionsV = NumActions;
   return SM;
 }
 
@@ -506,8 +506,11 @@ bool CacheStoreDir::promote(const ActionCache::FlatImage &Img,
   }
   uint64_t Gen = latestGeneration(CompatKey) + 1;
   std::string E;
-  if (!writeStoreFile(Dir + "/" + fileName(CompatKey, Gen), Img, CompatKey,
-                      NumActions, Gen, E)) {
+  // Temporary file + rename: a reader sees the old generation set or the
+  // complete new file, never a torn write.
+  if (!snapshot::writeFileBytes(
+          Dir + "/" + fileName(CompatKey, Gen),
+          buildStoreImage(Img, CompatKey, NumActions, Gen), E)) {
     if (Err)
       *Err = E;
     return false;

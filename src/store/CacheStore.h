@@ -7,39 +7,48 @@
 /// \file
 /// A content-addressed on-disk store of sealed action caches, designed to
 /// be memory-mapped read-only and shared by any number of processes and
-/// sessions. The action cache is relocatable by construction (every link
-/// is an arena index — see ActionCache.h), so a store file is simply the
-/// arenas in their in-memory layout plus a validated header: mapping one
-/// costs no deserialization, no rehash and no per-session copies of the
-/// node, seal, data or key arenas. Each consumer layers a private
-/// copy-on-write overlay (ActionCache::attachBase) over the mapping; the
-/// base is never written.
+/// sessions, and the FACSTOR1 image format it stores. FACSTOR1 is the one
+/// on-disk and on-wire form of an action cache: a `--save-cache` file, a
+/// facilesimd `snapshot-save kind=cache` payload and a store generation are
+/// all FACSTOR1 images, written by buildStoreImage and read by
+/// parseStoreImage.
+///
+/// The action cache is relocatable by construction (every link is an arena
+/// index — see ActionCache.h), so an image is simply the arenas in their
+/// in-memory layout plus a validated header: mapping a store file costs no
+/// deserialization, no rehash and no per-session copies of the node, seal,
+/// data or key arenas. Each consumer layers a private copy-on-write overlay
+/// (ActionCache::attachBase) over the mapping; the base is never written.
+/// Loading a saved cache file parses the same image and copies it into a
+/// private, owned cache (ActionCache::loadImage).
 ///
 /// Files are keyed by Simulation::compatKey() — the hash binding a cache
 /// to the exact compiled program, options, ISA revision and target image —
 /// and carry a monotonically increasing *generation*: promoting a
 /// session's warmed cache writes the next generation beside the old one
 /// (atomic rename), so live mappings of earlier generations stay valid.
+/// Saved cache files carry generation 0.
 ///
-/// FACSTOR1 layout (host-endian; a store file is a local artifact shared
-/// over mmap, not an interchange format — FACSNAP2 snapshots remain the
-/// portable container):
+/// FACSTOR1 layout (host-endian: a file from a host of the other byte
+/// order fails the version check):
 ///
 ///   header (64 bytes):
 ///     magic "FACSTOR1" (8) | version u32 | action count u32
 ///     | compat key u64 | generation u64 | reserved (8, zero)
 ///     | section count u32 | header CRC-32 u32 | reserved (16, zero)
-///   section table: per section (32 bytes)
-///     tag u32 | reserved u32 | file offset u64 | byte length u64
-///     | payload CRC-32 u32 | reserved u32
-///   sections: raw arena bytes, each 8-byte aligned in the file
+///   section table: per section (32 bytes), in the order of the Sec* tags
+///   below
+///     tag u32 | reserved u32 (zero) | file offset u64 | byte length u64
+///     | payload CRC-32 u32 | reserved u32 (zero)
+///   sections: raw arena bytes, each at the next 8-byte aligned offset,
+///     gaps zero, nothing after the last
 ///
-/// Opening validates everything before a byte reaches the runtime: magic,
-/// version, compat key, header and per-section CRCs, then the same
-/// structural rules ActionCache::deserialize enforces (links, spans, key
-/// spans, key→entry consistency, recomputed key hashes) plus the persisted
-/// probe table (power-of-two size, every key findable from its home slot).
-/// Any failure is a diagnosed cold start, never UB.
+/// Parsing validates everything before a byte reaches the runtime: magic,
+/// version, compat key, header and per-section CRCs, the exact section
+/// layout and zero reserved bytes, then the arenas' structure (links,
+/// spans, key spans, key→entry consistency, recomputed key hashes) plus
+/// the persisted probe table (power-of-two size, every key findable from
+/// its home slot). Any failure is a diagnosed cold start, never UB.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,12 +56,14 @@
 #define FACILE_STORE_CACHESTORE_H
 
 #include "src/runtime/ActionCache.h"
+#include "src/snapshot/Snapshot.h"
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 namespace facile {
 namespace store {
@@ -71,14 +82,27 @@ inline constexpr uint32_t SecKeyToEntry = 0x0045324bu; // "K2E\0"
 inline constexpr uint32_t SecEntries = 0x52544e45u;    // "ENTR"
 inline constexpr uint32_t SecKeyTable = 0x4241544bu;   // "KTAB"
 
-/// Serializes \p Img as a FACSTOR1 file at \p Path (via a temporary file
-/// and atomic rename, so readers never observe a partial write). Every
-/// node's ActionId must already be < \p NumActions — the image comes from
-/// a cache that enforced it. Returns false with \p Err set on I/O failure.
-bool writeStoreFile(const std::string &Path,
-                    const rt::ActionCache::FlatImage &Img, uint64_t CompatKey,
-                    uint32_t NumActions, uint64_t Generation,
-                    std::string &Err);
+/// Serializes \p Img as a FACSTOR1 image. Every node's ActionId must
+/// already be < \p NumActions — the image comes from a cache that enforced
+/// it. Deterministic: equal inputs give bit-identical bytes.
+std::vector<uint8_t> buildStoreImage(const rt::ActionCache::FlatImage &Img,
+                                     uint64_t CompatKey, uint32_t NumActions,
+                                     uint64_t Generation);
+
+/// A parsed, fully validated FACSTOR1 image: views into the parsed bytes.
+struct StoreImage {
+  rt::ActionCache::BaseArenas Arenas;
+  uint64_t Generation = 0;
+};
+
+/// Parses and validates the FACSTOR1 image at [\p Data, \p Data + \p Len)
+/// for a consumer with \p CompatKey and \p NumActions. \p Data must be
+/// 8-byte aligned and outlive \p Out's views. Returns BadFormat (magic,
+/// version), CompatMismatch (compat key or action count) or Corrupt
+/// (everything else) with \p Err set, leaving \p Out untouched.
+snapshot::LoadStatus parseStoreImage(const uint8_t *Data, size_t Len,
+                                     uint64_t CompatKey, uint32_t NumActions,
+                                     StoreImage &Out, std::string &Err);
 
 /// One validated, read-only mapping of a store file. Immutable and
 /// thread-safe after open; shared as std::shared_ptr<const StoreMap> so a
@@ -90,9 +114,9 @@ public:
   StoreMap &operator=(const StoreMap &) = delete;
   ~StoreMap();
 
-  /// Maps and fully validates \p Path. \p CompatKey and \p NumActions are
-  /// the consumer's — mismatch is a rejection, not a fault. Returns null
-  /// with \p Err set on any failure.
+  /// Maps \p Path and validates it with parseStoreImage. \p CompatKey and
+  /// \p NumActions are the consumer's — mismatch is a rejection, not a
+  /// fault. Returns null with \p Err set on any failure.
   static std::shared_ptr<const StoreMap> open(const std::string &Path,
                                               uint64_t CompatKey,
                                               uint32_t NumActions,
@@ -100,10 +124,10 @@ public:
 
   /// A base-layer view into the mapping, ready for
   /// ActionCache::attachBase. Valid for this StoreMap's lifetime.
-  const rt::ActionCache::BaseArenas &arenas() const { return Arenas; }
+  const rt::ActionCache::BaseArenas &arenas() const { return Image.Arenas; }
 
   uint64_t compatKey() const { return CompatKeyV; }
-  uint64_t generation() const { return GenerationV; }
+  uint64_t generation() const { return Image.Generation; }
   uint32_t numActions() const { return NumActionsV; }
   const std::string &path() const { return FilePath; }
   /// The mapped extent — what N sessions share instead of N copies.
@@ -118,9 +142,8 @@ private:
   size_t MapLen = 0;
   std::string FilePath;
   uint64_t CompatKeyV = 0;
-  uint64_t GenerationV = 0;
   uint32_t NumActionsV = 0;
-  rt::ActionCache::BaseArenas Arenas;
+  StoreImage Image;
 };
 
 /// A directory of store files, one per (compat key, generation). The

@@ -13,7 +13,7 @@
 //
 // The same oracle covers the execution backends: JitMatchesInterpreter
 // holds the template-JIT to bit-identical state, step accounting and
-// serialized action cache against the interpreting backend, and
+// action-cache arenas against the interpreting backend, and
 // JitRegionsMatchInterpreter does the same for a hand-written program
 // shaped to exercise every way a slow-engine region can end.
 //
@@ -60,7 +60,7 @@ struct FinalState {
   uint64_t Misses = 0;
   uint64_t CompiledActions = 0;
   std::string BackendName;
-  std::vector<uint8_t> CacheBytes; ///< the saved action-cache container
+  std::vector<uint8_t> CacheBytes; ///< cacheArenaBytes() of the run
 
   bool operator==(const FinalState &O) const {
     return Halted == O.Halted && RetiredTotal == O.RetiredTotal &&
@@ -68,6 +68,39 @@ struct FinalState {
            Globals == O.Globals;
   }
 };
+
+/// The whole action cache in arena order: every key, entry and node
+/// (reachable or detached) with its seal and placeholder span. A saved
+/// cache (FacileSim::cacheBytes) is compacted to live entries, so this is
+/// what a compare needs to also cover recordings a fault abandoned.
+std::vector<uint8_t> cacheArenaBytes(const rt::ActionCache &C) {
+  snapshot::Writer W;
+  W.u64(C.keyCount());
+  W.u64(C.entryCount());
+  W.u64(C.nodeCount());
+  for (rt::KeyId K = 0; K != C.keyCount(); ++K) {
+    W.u32(C.keyLen(K));
+    W.bytes(C.keyData(K), C.keyLen(K));
+  }
+  for (rt::EntryId E = 0; E != C.entryCount(); ++E) {
+    W.u32(C.entry(E).Head);
+    W.u32(C.entry(E).Key);
+  }
+  for (uint32_t I = 0; I != C.nodeCount(); ++I) {
+    const rt::ActionNode &N = C.node(I);
+    W.u32(static_cast<uint32_t>(N.ActionId));
+    W.u8(static_cast<uint8_t>(N.K));
+    W.u32(N.DataOfs);
+    W.u32(N.DataLen);
+    W.u32(N.Next);
+    W.u32(N.OnValue[0]);
+    W.u32(N.OnValue[1]);
+    W.u32(N.NextKey);
+    W.u64(C.nodeSeal(I));
+    W.bytes(C.spanData(N.DataOfs), size_t(N.DataLen) * 8);
+  }
+  return W.take();
+}
 
 FinalState runOne(SimKind Kind, const isa::TargetImage &Image,
                   rt::Simulation::Options Opts, uint64_t MaxInstrs,
@@ -85,7 +118,7 @@ FinalState runOne(SimKind Kind, const isa::TargetImage &Image,
   F.Misses = Sim.sim().stats().Misses;
   F.CompiledActions = Sim.sim().jitCompiledActions();
   F.BackendName = Sim.sim().backendName();
-  F.CacheBytes = Sim.cacheBytes();
+  F.CacheBytes = cacheArenaBytes(Sim.sim().cache());
   const CompiledProgram &P = simulatorProgram(Kind, Mode);
   for (const ir::GlobalVar &G : P.Globals) {
     if (G.IsArray)
@@ -426,7 +459,7 @@ TEST(Differential, JitMatchesInterpreter) {
         EXPECT_EQ(J.Misses, I.Misses);
         EXPECT_FALSE(I.CacheBytes.empty());
         EXPECT_TRUE(J.CacheBytes == I.CacheBytes)
-            << "saved action caches differ (" << J.CacheBytes.size()
+            << "action-cache arenas differ (" << J.CacheBytes.size()
             << " vs " << I.CacheBytes.size() << " bytes)";
         EXPECT_EQ(I.CompiledActions, 0u);
         if (Memo) {
@@ -540,9 +573,7 @@ RegionRun runRegionShapes(rt::BackendKind Backend) {
   R.Retired = Sim.stats().RetiredTotal;
   R.Cycles = Sim.stats().Cycles;
   R.MemDigest = Sim.memory().digest();
-  snapshot::Writer W;
-  Sim.serializeCache(W);
-  R.Cache = W.take();
+  R.Cache = cacheArenaBytes(Sim.cache());
   R.RegionCalls = jitCounter(Sim, "slow_region_calls");
   R.CompiledRegions = jitCounter(Sim, "compiled_blocks");
   return R;
@@ -573,7 +604,7 @@ TEST(Differential, JitRegionsMatchInterpreter) {
   EXPECT_EQ(J.Cycles, I.Cycles);
   EXPECT_EQ(J.MemDigest, I.MemDigest);
   EXPECT_FALSE(I.Cache.empty());
-  EXPECT_TRUE(J.Cache == I.Cache) << "serialized action caches differ";
+  EXPECT_TRUE(J.Cache == I.Cache) << "action-cache arenas differ";
 
   // Regions ran, and ran whole stretches of blocks per call: every slow
   // step dispatches at least the six loop iterations as separate blocks in

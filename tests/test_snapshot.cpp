@@ -140,9 +140,8 @@ std::vector<uint8_t> testContainer(uint64_t Compat = 0x1234,
                                    const std::vector<uint8_t> &Second = {}) {
   const std::vector<uint8_t> First{1, 2, 3, 4, 5};
   return snapshot::buildContainer(
-      snapshot::PayloadKind::Checkpoint, Compat,
-      {snapshot::sectionOf(snapshot::SecSimState, First),
-       snapshot::sectionOf(snapshot::SecMemory, Second)});
+      Compat, {snapshot::sectionOf(snapshot::SecSimState, First),
+               snapshot::sectionOf(snapshot::SecMemory, Second)});
 }
 
 /// testContainer with a 45-byte second section. Its payload starts at
@@ -163,9 +162,8 @@ TEST(Container, RoundTrip) {
   std::vector<uint8_t> Img = testContainer();
   std::vector<snapshot::Section> Out;
   std::string Err;
-  ASSERT_EQ(snapshot::parseContainer(Img.data(), Img.size(),
-                                     snapshot::PayloadKind::Checkpoint, 0x1234,
-                                     Out, Err),
+  ASSERT_EQ(snapshot::parseContainer(Img.data(), Img.size(), 0x1234, Out,
+                                     Err),
             snapshot::LoadStatus::Ok)
       << Err;
   ASSERT_EQ(Out.size(), 2u);
@@ -179,9 +177,8 @@ TEST(Container, RoundTrip) {
   EXPECT_EQ(Out[1].Data, Img.data() + Img.size());
 
   std::vector<uint8_t> Wide = wideTestContainer();
-  ASSERT_EQ(snapshot::parseContainer(Wide.data(), Wide.size(),
-                                     snapshot::PayloadKind::Checkpoint, 0x1234,
-                                     Out, Err),
+  ASSERT_EQ(snapshot::parseContainer(Wide.data(), Wide.size(), 0x1234, Out,
+                                     Err),
             snapshot::LoadStatus::Ok)
       << Err;
   ASSERT_EQ(Out.size(), 2u);
@@ -198,8 +195,7 @@ TEST(Container, RejectsWrongMagicKindAndCompat) {
   std::vector<uint8_t> BadMagic = Img;
   BadMagic[0] ^= 0xff;
   EXPECT_EQ(snapshot::parseContainer(BadMagic.data(), BadMagic.size(),
-                                     snapshot::PayloadKind::Checkpoint, 0x1234,
-                                     Out, Err),
+                                     0x1234, Out, Err),
             snapshot::LoadStatus::BadFormat);
 
   // Well-formed containers of every earlier format version (header CRC
@@ -212,22 +208,25 @@ TEST(Container, RejectsWrongMagicKindAndCompat) {
     uint32_t Crc = snapshot::crc32(OldVersion.data(), 28);
     std::memcpy(OldVersion.data() + 28, &Crc, 4);
     EXPECT_EQ(snapshot::parseContainer(OldVersion.data(), OldVersion.size(),
-                                       snapshot::PayloadKind::Checkpoint,
                                        0x1234, Out, Err),
               snapshot::LoadStatus::BadFormat)
         << "version " << Old;
   }
 
-  // Valid container, but the caller wants the other payload kind.
-  EXPECT_EQ(snapshot::parseContainer(Img.data(), Img.size(),
-                                     snapshot::PayloadKind::ActionCache, 0x1234,
-                                     Out, Err),
+  // Well-formed, but of kind 2: the action-cache payload of format
+  // versions before saved caches became FACSTOR1 images.
+  std::vector<uint8_t> CacheKind = Img;
+  const uint32_t RetiredKind = 2;
+  std::memcpy(CacheKind.data() + 12, &RetiredKind, 4);
+  uint32_t KindCrc = snapshot::crc32(CacheKind.data(), 28);
+  std::memcpy(CacheKind.data() + 28, &KindCrc, 4);
+  EXPECT_EQ(snapshot::parseContainer(CacheKind.data(), CacheKind.size(),
+                                     0x1234, Out, Err),
             snapshot::LoadStatus::BadFormat);
 
   // Valid container produced under a different configuration.
-  EXPECT_EQ(snapshot::parseContainer(Img.data(), Img.size(),
-                                     snapshot::PayloadKind::Checkpoint, 0x9999,
-                                     Out, Err),
+  EXPECT_EQ(snapshot::parseContainer(Img.data(), Img.size(), 0x9999, Out,
+                                     Err),
             snapshot::LoadStatus::CompatMismatch);
   EXPECT_TRUE(Out.empty()); // untouched on failure
 }
@@ -238,9 +237,7 @@ TEST(Container, EveryTruncationRejected) {
     std::vector<snapshot::Section> Out;
     std::string Err;
     for (size_t Len = 0; Len != Img.size(); ++Len) {
-      EXPECT_NE(snapshot::parseContainer(Img.data(), Len,
-                                         snapshot::PayloadKind::Checkpoint,
-                                         0x1234, Out, Err),
+      EXPECT_NE(snapshot::parseContainer(Img.data(), Len, 0x1234, Out, Err),
                 snapshot::LoadStatus::Ok)
           << "truncation to " << Len << " bytes parsed";
       EXPECT_TRUE(Out.empty());
@@ -261,8 +258,7 @@ TEST(Container, EveryPayloadBitFlipRejected) {
       Mut[Bit / 8] ^= uint8_t(1u << (Bit % 8));
       std::vector<snapshot::Section> Out;
       snapshot::LoadStatus St = snapshot::parseContainer(
-          Mut.data(), Mut.size(), snapshot::PayloadKind::Checkpoint, 0x1234,
-          Out, Err);
+          Mut.data(), Mut.size(), 0x1234, Out, Err);
       if (St == snapshot::LoadStatus::Ok) {
         ASSERT_EQ(Out.size(), 2u);
         EXPECT_TRUE(Out[0].Tag != snapshot::SecSimState ||

@@ -13,6 +13,7 @@
 #include "src/sims/SimHarness.h"
 #include "src/snapshot/Serializer.h"
 #include "src/store/CacheStore.h"
+#include "src/support/Hashing.h"
 #include "src/workload/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -161,16 +162,11 @@ TEST(CacheStore, WriteStoreFileIsDeterministic) {
   uint64_t CK = Builder.sim().compatKey();
   uint32_t NA = static_cast<uint32_t>(Builder.sim().actionCount());
 
-  std::string A = ::testing::TempDir() + "facile_store_det_a.facstore";
-  std::string B = ::testing::TempDir() + "facile_store_det_b.facstore";
-  std::string Err;
-  ASSERT_TRUE(store::writeStoreFile(A, Img, CK, NA, 3, Err)) << Err;
-  ASSERT_TRUE(store::writeStoreFile(B, Img, CK, NA, 3, Err)) << Err;
-  std::vector<uint8_t> BytesA = readFileBytes(A);
-  ASSERT_FALSE(BytesA.empty());
-  EXPECT_EQ(BytesA, readFileBytes(B));
-  std::remove(A.c_str());
-  std::remove(B.c_str());
+  std::vector<uint8_t> A = store::buildStoreImage(Img, CK, NA, 3);
+  ASSERT_FALSE(A.empty());
+  EXPECT_EQ(A, store::buildStoreImage(Img, CK, NA, 3));
+  // The saved-cache path builds the same image, generation 0.
+  EXPECT_EQ(Builder.cacheBytes(), store::buildStoreImage(Img, CK, NA, 0));
 }
 
 TEST(CacheStore, GenerationsPickLatest) {
@@ -253,6 +249,112 @@ TEST(CacheStore, CorruptionIsRejected) {
   ASSERT_TRUE(writeFileBytes(Path, Good));
   store::CacheStoreDir Healed(Dir);
   EXPECT_TRUE(Healed.lookup(CK, NA, &Err) != nullptr) << Err;
+  removeTree(Dir);
+}
+
+namespace {
+
+/// A hand-built one-entry image whose 3-byte key pool and single
+/// key-to-entry word leave alignment gaps after their sections.
+rt::ActionCache::FlatImage gappedImage() {
+  rt::ActionCache::FlatImage Img;
+  Img.KeyPool = {'a', 'b', 'c'};
+  rt::ActionCache::KeyRecord K;
+  K.Len = 3;
+  K.Hash = hashKey(Img.KeyPool.data(), 3);
+  Img.Keys = {K};
+  Img.KeyToEntry = {0};
+  rt::CacheEntry E;
+  E.Head = 0;
+  E.Key = 0;
+  Img.Entries = {E};
+  rt::ActionNode N;
+  N.ActionId = 0;
+  N.K = rt::ActionNode::Kind::End;
+  N.DataLen = 1;
+  N.NextKey = 0;
+  Img.Nodes = {N};
+  Img.Seals = {0x5eal};
+  Img.Data = {42};
+  return Img;
+}
+
+} // namespace
+
+TEST(CacheStore, EveryHeaderTableAndGapByteIsChecked) {
+  constexpr uint64_t CK = 0x1234;
+  const std::vector<uint8_t> Good =
+      store::buildStoreImage(gappedImage(), CK, /*NumActions=*/1, 7);
+  store::StoreImage Out;
+  std::string Err;
+  ASSERT_EQ(store::parseStoreImage(Good.data(), Good.size(), CK, 1, Out, Err),
+            snapshot::LoadStatus::Ok)
+      << Err;
+  EXPECT_EQ(Out.Generation, 7u);
+  EXPECT_EQ(Out.Arenas.NumNodes, 1u);
+
+  // Every header and section-table byte — CRC-covered, reserved or
+  // describing the layout — plus every alignment gap between sections.
+  std::vector<size_t> Positions;
+  for (size_t I = 0; I != 64 + 8 * 32; ++I)
+    Positions.push_back(I);
+  size_t End = 64 + 8 * 32;
+  for (size_t S = 0; S != 8; ++S) {
+    uint64_t Ofs, Len;
+    std::memcpy(&Ofs, Good.data() + 64 + S * 32 + 8, 8);
+    std::memcpy(&Len, Good.data() + 64 + S * 32 + 16, 8);
+    for (size_t G = End; G < Ofs; ++G)
+      Positions.push_back(G);
+    End = Ofs + Len;
+  }
+  ASSERT_EQ(End, Good.size());
+  ASSERT_GT(Positions.size(), size_t(64 + 8 * 32)) << "no gap to flip";
+  for (size_t Pos : Positions) {
+    std::vector<uint8_t> Bad = Good;
+    Bad[Pos] ^= 0x01;
+    EXPECT_NE(store::parseStoreImage(Bad.data(), Bad.size(), CK, 1, Out, Err),
+              snapshot::LoadStatus::Ok)
+        << "flipped byte " << Pos << " parsed";
+  }
+
+  // A trailing byte, and the image viewed at a misaligned address.
+  std::vector<uint8_t> Long = Good;
+  Long.push_back(0);
+  EXPECT_NE(store::parseStoreImage(Long.data(), Long.size(), CK, 1, Out, Err),
+            snapshot::LoadStatus::Ok);
+  std::vector<uint8_t> Shifted(Good.size() + 1);
+  std::memcpy(Shifted.data() + 1, Good.data(), Good.size());
+  EXPECT_NE(store::parseStoreImage(Shifted.data() + 1, Good.size(), CK, 1, Out,
+                                   Err),
+            snapshot::LoadStatus::Ok);
+  EXPECT_EQ(Err, "store image is not 8-byte aligned in memory");
+}
+
+TEST(CacheStore, PromotedFileWithReservedBytesSetIsRejected) {
+  // Header byte 50 and the two pad words of section-table entry 0 are
+  // outside every CRC; a promoted file with any of them set is corrupt.
+  isa::TargetImage Image = workload::generate(testSpec(), 2);
+  FacileSim Builder(SimKind::OutOfOrder, Image);
+  Builder.run(kBudget);
+  std::string Dir = freshDir("reserved");
+  store::CacheStoreDir Store(Dir);
+  std::string Err;
+  ASSERT_TRUE(Builder.promoteStore(Store, nullptr, &Err)) << Err;
+  std::string Path =
+      Dir + "/" + store::CacheStoreDir::fileName(Builder.sim().compatKey(), 1);
+  std::vector<uint8_t> Good = readFileBytes(Path);
+  ASSERT_GT(Good.size(), size_t(320));
+  for (size_t Ofs : {size_t(50), size_t(68), size_t(92)}) {
+    SCOPED_TRACE("flip at offset " + std::to_string(Ofs));
+    std::vector<uint8_t> Bad = Good;
+    Bad[Ofs] ^= 0x40;
+    ASSERT_TRUE(writeFileBytes(Path, Bad));
+    store::CacheStoreDir Fresh(Dir);
+    FacileSim Victim(SimKind::OutOfOrder, Image);
+    EXPECT_FALSE(Victim.attachStore(Fresh, &Err));
+    EXPECT_FALSE(Err.empty());
+    EXPECT_EQ(Victim.snapshotStats().CorruptInputs, 1u);
+  }
   removeTree(Dir);
 }
 

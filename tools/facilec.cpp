@@ -20,9 +20,9 @@
 #include "src/isa/Assembler.h"
 #include "src/isa/Isa.h"
 #include "src/runtime/Simulation.h"
+#include "src/support/StringUtils.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -144,7 +144,13 @@ int main(int Argc, char **Argv) {
     } else if (AsmPath.empty() && Mode == "run") {
       AsmPath = Arg;
     } else if (Mode == "run") {
-      MaxSteps = std::strtoull(Arg.c_str(), nullptr, 0);
+      if (!parseDecimal(Arg, MaxSteps)) {
+        std::fprintf(stderr,
+                     "facilec: error: max-steps must be a decimal count, "
+                     "got '%s'\n",
+                     Arg.c_str());
+        return 2;
+      }
     } else {
       std::fprintf(stderr, "facilec: unexpected argument '%s'\n",
                    Arg.c_str());

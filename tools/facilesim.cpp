@@ -104,7 +104,7 @@ int main(int Argc, char **Argv) {
   P.str("load-checkpoint", LoadCkpt, "<file>",
         "resume state before the run");
   P.str("save-cache", SaveCache, "<file>",
-        "write the action cache after the run");
+        "write the action cache after the run\n(a FACSTOR1 image)");
   P.str("load-cache", LoadCache, "<file>",
         "warm-start from a saved action cache");
   P.str("cache-store", CacheStorePath, "<dir>",
