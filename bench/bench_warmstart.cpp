@@ -62,19 +62,20 @@ void removeTree(const std::string &Dir) {
 }
 
 /// --store mode: K warm simulations sharing one mmap'd store file versus K
-/// private cache deserializations. The store side maps the promoted cache
-/// once (read-only, copy-on-write overlays per sim); the private side pays
-/// a full owned copy per sim. Reported per suite entry: wall-clock to
-/// bring all K sims to their first replayed instructions, and the RSS the
-/// K warm sims added.
+/// private image buffers. Both sides attach the image in place with
+/// copy-on-write overlays per sim; the store side maps the promoted cache
+/// once, while each buffer-side sim loads (and keeps) its own copy of the
+/// saved bytes. Reported per suite entry: wall-clock to bring all K sims
+/// to their first replayed instructions, and the RSS the K warm sims
+/// added. The JSON keys keep their historical "private" names.
 int runStoreMode(double Scale, JsonSink &Sink, size_t K) {
-  banner("Shared cache store — one mapping vs. K private caches",
+  banner("Shared cache store — one mapping vs. K private image buffers",
          "(beyond the paper: §4.2's cache as a shared, mmap'd artifact)",
          "time and resident memory to warm-start K sims from one store "
-         "file vs. K private deserializations, OOO simulator");
+         "file vs. K loaded copies of the saved image, OOO simulator");
   std::printf("sessions per entry: %zu\n\n", K);
   std::printf("%-14s %10s %10s %9s %9s %9s %6s\n", "benchmark", "store s",
-              "priv s", "store MB", "priv MB", "snap MB", "maps");
+              "bufs s", "store MB", "bufs MB", "snap MB", "maps");
 
   char Tmpl[] = "/tmp/facile-bench-store-XXXXXX";
   if (!::mkdtemp(Tmpl)) {
@@ -119,7 +120,7 @@ int runStoreMode(double Scale, JsonSink &Sink, size_t K) {
     size_t Mappings = Store.mappedCount();
     StoreSims.clear();
 
-    // K private copies of the same cache.
+    // K private image buffers: each sim loads its own copy of the bytes.
     std::vector<std::unique_ptr<FacileSim>> PrivSims;
     RssBase = static_cast<int64_t>(rssKb());
     double TPriv = timeIt([&] {

@@ -50,10 +50,10 @@ void ActionCache::growTable() {
 KeyId ActionCache::internKey(const char *Data, size_t Len) {
   uint64_t H = hashKey(Data, Len);
 
-  // Level one: the read-only base table (mapped store file). Hits return
+  // Level one: the read-only base table (the attached image). Hits return
   // the base key id; misses fall through to the private overlay table —
   // the base is immutable, so nothing is ever inserted here.
-  if (HasBase && Base.TableSize != 0) {
+  if (Base.TableSize != 0) {
     size_t Mask = static_cast<size_t>(Base.TableSize) - 1;
     size_t I = static_cast<size_t>(H) & Mask;
     uint64_t Probes = 0;
@@ -132,45 +132,14 @@ EntryId ActionCache::create(KeyId K) {
 // Base layer
 //===----------------------------------------------------------------------===//
 
-bool ActionCache::attachBase(const BaseArenas &B) {
-  if (HasBase || !Keys.empty() || !Entries.empty() || !NodeArena.empty() ||
-      !DataPool.empty() || !KeyPool.empty())
-    return false;
+void ActionCache::attachBase(const BaseArenas &B) {
   Base = B;
-  HasBase = true;
-  KeyToEntry.clear();
-  if (B.NumKeys != 0)
-    KeyToEntry.assign(B.KeyToEntry, B.KeyToEntry + B.NumKeys);
-  Entries.clear();
-  if (B.NumEntries != 0)
-    Entries.assign(B.Entries, B.Entries + B.NumEntries);
   BaseVerified.assign(B.NumNodes, 0);
-  Table.clear();
-  ++Epoch;
-  PendingXor = 0;
+  resetOverlay();
   notePeak();
-  return true;
 }
 
-void ActionCache::detachBase() {
-  HasBase = false;
-  Base = BaseArenas{};
-  BaseVerified.clear();
-  Patches.clear();
-  KeyPool.clear();
-  Keys.clear();
-  KeyToEntry.clear();
-  Table.clear();
-  Entries.clear();
-  NodeArena.clear();
-  NodeSeal.clear();
-  VerifyMark.clear();
-  ++Epoch;
-  DataPool.clear();
-  PendingXor = 0;
-}
-
-void ActionCache::resetToBase() {
+void ActionCache::resetOverlay() {
   KeyPool.clear();
   Keys.clear();
   Table.clear();
@@ -180,13 +149,11 @@ void ActionCache::resetToBase() {
   Patches.clear();
   DataPool.clear();
   PendingXor = 0;
-  KeyToEntry.clear();
-  if (Base.NumKeys != 0)
-    KeyToEntry.assign(Base.KeyToEntry, Base.KeyToEntry + Base.NumKeys);
-  Entries.clear();
-  if (Base.NumEntries != 0)
-    Entries.assign(Base.Entries, Base.Entries + Base.NumEntries);
-  // BaseVerified survives: the base mapping did not change.
+  // Entries and the key->entry map carry per-session detach state, so they
+  // are re-seeded from the base (nothing when no base is attached).
+  KeyToEntry.assign(Base.KeyToEntry, Base.KeyToEntry + Base.NumKeys);
+  Entries.assign(Base.Entries, Base.Entries + Base.NumEntries);
+  // BaseVerified is left alone: it describes the base, not the overlay.
   ++Epoch;
 }
 
@@ -196,22 +163,7 @@ void ActionCache::resetToBase() {
 
 void ActionCache::clear() {
   notePeak();
-  if (HasBase) {
-    resetToBase();
-    ++S.Clears;
-    return;
-  }
-  KeyPool.clear();
-  Keys.clear();
-  KeyToEntry.clear();
-  Table.clear();
-  Entries.clear();
-  NodeArena.clear();
-  NodeSeal.clear();
-  VerifyMark.clear();
-  ++Epoch;
-  DataPool.clear();
-  PendingXor = 0;
+  resetOverlay();
   ++S.Clears;
 }
 
@@ -307,24 +259,4 @@ ActionCache::FlatImage ActionCache::compactImage() const {
     }
   }
   return Img;
-}
-
-void ActionCache::loadImage(const BaseArenas &Img) {
-  HasBase = false;
-  Base = BaseArenas{};
-  BaseVerified.clear();
-  Patches.clear();
-  KeyPool.assign(Img.KeyPool, Img.KeyPool + Img.KeyPoolBytes);
-  Keys.assign(Img.Keys, Img.Keys + Img.NumKeys);
-  KeyToEntry.assign(Img.KeyToEntry, Img.KeyToEntry + Img.NumKeys);
-  Entries.assign(Img.Entries, Img.Entries + Img.NumEntries);
-  NodeArena.assign(Img.Nodes, Img.Nodes + Img.NumNodes);
-  NodeSeal.assign(Img.Seals, Img.Seals + Img.NumNodes);
-  VerifyMark.assign(NodeSeal.size(), 0);
-  ++Epoch;
-  DataPool.assign(Img.Data, Img.Data + Img.DataWords);
-  PendingXor = 0;
-  Table.clear();
-  growTable();
-  notePeak();
 }

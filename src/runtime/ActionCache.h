@@ -31,15 +31,17 @@
 /// cache relocatable: a sealed cache can be written out flat (compactImage,
 /// then a FACSTOR1 image, see src/store/CacheStore.h) and mapped or copied
 /// back at any address. The cache exploits this with a two-level layout:
-/// an optional immutable *base* (BaseArenas — typically a read-only
-/// memory-mapped store file shared by many processes, see src/store/)
+/// an immutable *base* (BaseArenas — a parsed FACSTOR1 image, either a
+/// read-only memory-mapped store file shared by many processes or a loaded
+/// saved cache held in the simulation's own buffer, see src/store/)
 /// occupies global ids [0, BaseN) of every id space, and the private
-/// *overlay* arenas continue above it. Base nodes are never written:
+/// *overlay* arenas continue above it. A cache with nothing attached is
+/// simply one over the empty base. Base nodes are never written:
 /// recording appends overlay nodes, and extending a base Test node's
 /// missing successor goes through a private edge-patch table consulted
 /// only on the replay miss path, so the hot replay loop stays flat.
-/// Clearing with a base attached means "reset to base": the overlay is
-/// dropped, the mapping is untouched.
+/// Clearing means "reset to base": the overlay is dropped, the base image
+/// is untouched.
 ///
 /// Memory is budgeted with the paper's wholesale clear-on-full policy,
 /// which §6.1-§6.2 report costs little performance at 1/10 the footprint.
@@ -124,11 +126,12 @@ public:
   static_assert(sizeof(KeyRecord) == 16, "key records are stored flat");
 
   /// A read-only view of a sealed cache image used as the immutable base
-  /// layer under this cache's private overlay — typically sections of a
-  /// memory-mapped store file (store::StoreMap), which is why every field
-  /// is a raw pointer + count rather than a container. The view must stay
-  /// valid (and unmodified) for as long as it is attached; the cache never
-  /// writes through it. Entries and KeyToEntry are *copied* at attach
+  /// layer under this cache's private overlay — sections of a parsed
+  /// FACSTOR1 image, either a memory-mapped store file (store::StoreMap) or
+  /// a loaded saved cache, which is why every field is a raw pointer +
+  /// count rather than a container. The view must stay valid (and
+  /// unmodified) for as long as it is attached; the cache never writes
+  /// through it. Entries and KeyToEntry are *copied* at attach
   /// (they carry mutable detach state), so those two arrays are read once;
   /// everything else is referenced in place.
   struct BaseArenas {
@@ -182,19 +185,18 @@ public:
 
   //===-- Base layer ---------------------------------------------------------
 
-  /// Attaches \p B as the immutable base layer. The cache must be empty
-  /// (freshly constructed or detachBase()'d); returns false otherwise.
-  /// Base entries and the key→entry map are copied into private storage
-  /// (their detach state is per-session); every other arena
-  /// is referenced in place, so N caches over one mapping share it.
-  bool attachBase(const BaseArenas &B);
+  /// Attaches \p B as the immutable base layer, replacing the previous
+  /// base and dropping the whole overlay (overlay ids are relative to the
+  /// base extent, so it cannot survive a base change); statistics are
+  /// retained. Base entries and the key→entry map are copied into private
+  /// storage (their detach state is per-session); every other arena is
+  /// referenced in place, so N caches over one mapping share it.
+  /// Outstanding EntryIds/KeyIds/node indices are invalidated.
+  void attachBase(const BaseArenas &B);
 
-  /// Drops the base layer AND the overlay: overlay ids are relative to the
-  /// base extent, so neither survives without the other. The cache is left
-  /// empty and owned, as if freshly constructed (statistics retained).
-  void detachBase();
-
-  bool hasBase() const { return HasBase; }
+  /// True when a parsed image is attached (every parsed image carries a
+  /// probe-table section; the empty base has none).
+  bool hasBase() const { return Base.Table != nullptr; }
   uint32_t baseNodeCount() const { return Base.NumNodes; }
   uint32_t baseKeyCount() const { return Base.NumKeys; }
   uint64_t baseDataWords() const { return Base.DataWords; }
@@ -376,12 +378,6 @@ public:
   uint32_t dataSize() const {
     return static_cast<uint32_t>(Base.DataWords + DataPool.size());
   }
-  /// Raw pool base for owned caches (asserts no base is attached —
-  /// absolute pool indexing is only meaningful over a single arena).
-  const int64_t *data() const {
-    assert(!HasBase && "use spanData() with a base attached");
-    return DataPool.data();
-  }
   /// Resolves a span base pointer for [Ofs, Ofs+Len): relative indexing
   /// off the returned pointer replaces absolute pool indexing on replay.
   const int64_t *spanData(uint32_t Ofs) const {
@@ -453,8 +449,8 @@ public:
   // epoch-gated.
   //
   // Base nodes use a simpler scheme: one byte per node, set on first
-  // successful verification and never cleared. The base mapping is
-  // read-only, CRC-checked and structurally validated at open, and no
+  // successful verification and never cleared. The base image is
+  // read-only, CRC-checked and structurally validated at parse, and no
   // runtime channel can flip its links or data, so one full seal sweep
   // per (session, node) is the honest cost.
 
@@ -485,8 +481,9 @@ public:
 
   /// The real private footprint, derived from the backing containers in
   /// one place: key pool and table, entry vector, node arena, data pool
-  /// and the edge-patch table. The attached base (shared, read-only) is
-  /// deliberately excluded — budgeting clears what this session owns.
+  /// and the edge-patch table. The attached base (read-only, often shared)
+  /// is deliberately excluded — budgeting clears what this session owns
+  /// and a clear cannot drop the base anyway.
   size_t bytes() const {
     return KeyPool.size() + Keys.size() * sizeof(KeyRecord) +
            KeyToEntry.size() * sizeof(EntryId) +
@@ -501,10 +498,10 @@ public:
   /// True when the budget is exhausted; the owner should clear().
   bool overBudget() const { return bytes() > Budget; }
 
-  /// Drops every entry, key and node (the paper's clear-on-full policy).
-  /// Any outstanding EntryIds, KeyIds and node indices become invalid.
-  /// With a base attached this resets to the base image instead: the
-  /// overlay is dropped and the entry table re-seeded from the store.
+  /// The paper's clear-on-full policy: drops every overlay entry, key and
+  /// node and re-seeds the entry table from the base, so the cache holds
+  /// exactly the attached image again (nothing without one). Any
+  /// outstanding EntryIds, KeyIds and node indices become invalid.
   void clear();
 
   size_t entryCount() const { return Entries.size(); }
@@ -536,16 +533,6 @@ public:
   void registerMetrics(telemetry::MetricsRegistry &R,
                        std::string Group) const;
 
-  //===-- Persistence --------------------------------------------------------
-
-  /// Replaces this cache's contents with a private, owned copy of \p Img —
-  /// typically a parsed FACSTOR1 image (store::parseStoreImage), which has
-  /// already validated every link, span, key hash and action id; the probe
-  /// table is rebuilt from the keys. Any attached base is dropped and
-  /// statistics are preserved. Outstanding EntryIds/KeyIds/node indices are
-  /// invalidated.
-  void loadImage(const BaseArenas &Img);
-
 private:
   void notePeak() {
     size_t B = bytes();
@@ -554,15 +541,15 @@ private:
   }
 
   void growTable();
-  /// Drops the overlay and re-seeds entries/key→entry from the base.
-  void resetToBase();
+  /// The one overlay reset (attach and clear): drops every overlay arena
+  /// and the edge patches, re-seeds entries/key→entry from the base.
+  void resetOverlay();
 
   size_t Budget;
 
-  // The immutable base layer (all-zero when detached, so every threshold
-  // compare degenerates to the plain owned-cache path).
+  // The immutable base layer (all-zero when nothing is attached, so every
+  // threshold compare degenerates to the plain overlay-only path).
   BaseArenas Base;
-  bool HasBase = false;
 
   // Key table: open-addressed, power-of-two sized, linear probing. With a
   // base attached, Keys/KeyPool/Table hold only overlay keys (Table slots

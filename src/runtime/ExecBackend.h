@@ -80,8 +80,7 @@ public:
   /// deserializeState() replaced the dynamic-state vectors (their data
   /// pointers moved).
   virtual void onStateReplaced() {}
-  /// The action-cache arenas were rebuilt: eviction, loadCacheImage(),
-  /// attachCacheBase() / detachCacheBase().
+  /// The action-cache arenas were rebuilt: eviction or attachCacheBase().
   virtual void onCacheRebuilt() {}
   /// mutablePlan() handed out a mutable reference to the plan this
   /// simulation executes. Anything compiled from the plan is now suspect

@@ -482,49 +482,14 @@ bool Simulation::deserializeState(snapshot::Reader &R) {
   return true;
 }
 
-void Simulation::loadCacheImage(const ActionCache::BaseArenas &Img) {
-  Cache.loadImage(Img);
-  CacheBaseKeepalive.reset();
-  PendingEndNode = ActionNode::NoNode;
-  Backend->onCacheRebuilt();
-}
-
 //===----------------------------------------------------------------------===//
-// Shared cache store
+// Attached cache images
 //===----------------------------------------------------------------------===//
 
-bool Simulation::attachCacheBase(const ActionCache::BaseArenas &B,
-                                 std::shared_ptr<const void> Keepalive,
-                                 std::string *Err) {
-  if (!Opts.Memoize) {
-    if (Err)
-      *Err = "cannot attach a cache base with memoization disabled";
-    return false;
-  }
-  uint32_t NumActions = static_cast<uint32_t>(Plan->ActionOfs.size() - 1);
-  for (uint32_t I = 0; I != B.NumNodes; ++I) {
-    if (B.Nodes[I].ActionId >= NumActions) {
-      if (Err)
-        *Err = "base arenas reference actions beyond this program";
-      return false;
-    }
-  }
-  if (!Cache.attachBase(B)) {
-    if (Err)
-      *Err = "cache is not empty; attach before the first step";
-    return false;
-  }
+void Simulation::attachCacheBase(const ActionCache::BaseArenas &B,
+                                 std::shared_ptr<const void> Keepalive) {
+  Cache.attachBase(B);
   CacheBaseKeepalive = std::move(Keepalive);
-  PendingEndNode = ActionNode::NoNode;
-  Backend->onCacheRebuilt();
-  return true;
-}
-
-void Simulation::detachCacheBase() {
-  if (!Cache.hasBase())
-    return;
-  Cache.detachBase();
-  CacheBaseKeepalive.reset();
   PendingEndNode = ActionNode::NoNode;
   Backend->onCacheRebuilt();
 }

@@ -245,8 +245,8 @@ public:
   static constexpr uint64_t DeadlineCheckPeriod = 64;
 
   /// Out-of-band cache clear preserving the engine invariants: flushes the
-  /// open trace span, clears the cache (resetting a store-backed cache to
-  /// its read-only base) and resets the INDEX chain.
+  /// open trace span, clears the cache (back to its attached image, if
+  /// any) and resets the INDEX chain.
   /// For host-side resource control (e.g. a daemon bounding aggregate
   /// overlay growth); a no-op on an empty cache.
   void evictCacheNow();
@@ -324,28 +324,20 @@ public:
   /// simulation is untouched.
   bool deserializeState(snapshot::Reader &R);
 
-  /// Replaces the action cache with a private, owned copy of the validated
-  /// image \p Img (a parsed FACSTOR1 image, see store::parseStoreImage):
-  /// any attached store base is dropped and the INDEX chain reset (the
-  /// next step re-interns its key).
-  void loadCacheImage(const ActionCache::BaseArenas &Img);
+  //===-- Attached cache images ----------------------------------------------
 
-  //===-- Shared cache store -------------------------------------------------
-
-  /// Attaches read-only base arenas (typically a mapped store file — see
-  /// src/store/) under this simulation's cache. Requires memoization on
-  /// and an empty cache (attach before the first step, or after a clear);
-  /// otherwise returns false with a diagnostic in \p Err. \p Keepalive
-  /// pins whatever owns the arena memory (e.g. a store mapping) for as
-  /// long as the base is attached; the arenas themselves must stay valid
-  /// and unmodified for that lifetime. New recordings land in a private
-  /// copy-on-write overlay; the base is never written.
-  bool attachCacheBase(const ActionCache::BaseArenas &B,
-                       std::shared_ptr<const void> Keepalive,
-                       std::string *Err = nullptr);
-  /// Drops the attached base (and the whole overlay): the cache is empty
-  /// and fully owned afterwards. No-op without an attached base.
-  void detachCacheBase();
+  /// Attaches the validated image \p B (a parsed FACSTOR1 image, see
+  /// store::parseStoreImage: a mapped store file or a loaded saved cache)
+  /// as the read-only base of this simulation's cache, replacing whatever
+  /// the cache held and resetting the INDEX chain (the next step
+  /// re-interns its key). \p Keepalive pins whatever owns the image memory
+  /// (a store mapping, a loaded file's buffer) for as long as the base is
+  /// attached; the arenas must stay valid and unmodified for that
+  /// lifetime, and attaching the next image releases it. New recordings
+  /// land in a private copy-on-write overlay outside the image, and a
+  /// budget clear or evictCacheNow() resets the cache to the image.
+  void attachCacheBase(const ActionCache::BaseArenas &B,
+                       std::shared_ptr<const void> Keepalive);
   bool cacheBaseAttached() const { return Cache.hasBase(); }
 
 private:
@@ -444,7 +436,8 @@ private:
   std::function<bool()> DeadlineHook;
   bool DeadlineArmCheck = false; ///< force a hook consult on the next step
   ActionCache Cache;
-  /// Pins the memory behind an attached cache base (store mapping).
+  /// Pins the memory behind the attached cache image (store mapping or a
+  /// loaded file's buffer).
   std::shared_ptr<const void> CacheBaseKeepalive;
   bool HaltFlag = false;
   Stats S;

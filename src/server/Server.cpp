@@ -613,10 +613,16 @@ void FacileServer::Impl::requestShutdown() {
   bool Expected = false;
   if (!Stop.compare_exchange_strong(Expected, true))
     return;
+  // Pass through each waiter's mutex before notifying: a waiter that has
+  // just evaluated its predicate (Stop still false) holds the mutex until
+  // it sleeps, so the notify cannot land in that window and be lost.
   {
     std::lock_guard<std::mutex> Lock(StopMu);
   }
   StopCv.notify_all();
+  {
+    std::lock_guard<std::mutex> Lock(QueueMu);
+  }
   QueueCv.notify_all();
 }
 
@@ -1095,7 +1101,7 @@ std::string FacileServer::Impl::resumeSession(const std::string &Token,
     return errorLine(Id, ErrCode::Internal,
                      "spilled checkpoint failed to restore: " + LoadErr);
   if (!Sp.CacheBytes.empty() &&
-      !S->Sim->loadCacheBytes(Sp.CacheBytes, &LoadErr))
+      !S->Sim->loadCacheBytes(std::move(Sp.CacheBytes), &LoadErr))
     return errorLine(Id, ErrCode::Internal,
                      "spilled cache failed to restore: " + LoadErr);
   {
@@ -1387,8 +1393,9 @@ std::string FacileServer::Impl::verbSnapshotLoad(const json::Value &Req,
     return errorLine(Id, ErrCode::BadRequest,
                      "'bytes_b64' must be valid base64");
   std::string LoadErr;
-  bool Ok = Kind == "checkpoint" ? S.Sim->loadCheckpointBytes(Bytes, &LoadErr)
-                                 : S.Sim->loadCacheBytes(Bytes, &LoadErr);
+  bool Ok = Kind == "checkpoint"
+                ? S.Sim->loadCheckpointBytes(Bytes, &LoadErr)
+                : S.Sim->loadCacheBytes(std::move(Bytes), &LoadErr);
   if (!Ok) {
     // Rejected payloads leave the session exactly as it was (the loaders
     // are all-or-nothing), so this is an error response, not a fault.

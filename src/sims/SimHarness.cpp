@@ -246,13 +246,15 @@ bool FacileSim::loadCheckpointBytes(const std::vector<uint8_t> &Bytes,
   return true;
 }
 
-bool FacileSim::loadCacheBytes(const std::vector<uint8_t> &Bytes,
-                               std::string *Err) {
+bool FacileSim::loadCacheBytes(std::vector<uint8_t> Bytes, std::string *Err) {
   SnapStats.BytesRead += Bytes.size();
+  // The image is parsed where it will live: the buffer becomes the
+  // attached base's keepalive, so loading makes no copy of the arenas.
+  auto Buf = std::make_shared<const std::vector<uint8_t>>(std::move(Bytes));
   store::StoreImage Img;
   std::string Detail;
   snapshot::LoadStatus St =
-      store::parseStoreImage(Bytes.data(), Bytes.size(), Sim.compatKey(),
+      store::parseStoreImage(Buf->data(), Buf->size(), Sim.compatKey(),
                              Sim.actionCount(), Img, Detail);
   if (St != snapshot::LoadStatus::Ok) {
     if (St == snapshot::LoadStatus::CompatMismatch)
@@ -261,15 +263,25 @@ bool FacileSim::loadCacheBytes(const std::vector<uint8_t> &Bytes,
       ++SnapStats.CorruptInputs;
     return noteLoadFailure("action cache rejected", Detail, Err);
   }
-  Sim.loadCacheImage(Img.Arenas);
+  attachImage(Img.Arenas, Buf, nullptr, "cache-load", Buf->size());
+  return true;
+}
+
+void FacileSim::attachImage(const rt::ActionCache::BaseArenas &Arenas,
+                            std::shared_ptr<const void> Keepalive,
+                            const store::StoreMap *Map, const char *Event,
+                            uint64_t Bytes) {
+  Sim.attachCacheBase(Arenas, std::move(Keepalive));
+  Mapping = Map;
+  // An attached image is a warm start: --require-warm and monitoring key
+  // off these stats whether the image came from a file or the store.
   SnapStats.CacheLoaded = true;
   SnapStats.CacheEntriesLoaded = Sim.cache().entryCount();
   SnapStats.CacheNodesLoaded = Sim.cache().nodeCount();
   if (telemetry::EventTracer *T = Sim.tracer()) {
     Sim.flushTraceSpan();
-    T->instant("snapshot", "cache-load", "bytes", Bytes.size());
+    T->instant("snapshot", Event, "bytes", Bytes);
   }
-  return true;
 }
 
 bool FacileSim::saveFile(const std::string &Path, std::vector<uint8_t> Bytes,
@@ -311,7 +323,7 @@ bool FacileSim::loadCache(const std::string &Path, std::string *Err) {
   std::string Detail;
   if (!snapshot::readFileBytes(Path, Bytes, Detail))
     return noteLoadFailure("action cache rejected", Detail, Err);
-  return loadCacheBytes(Bytes, Err);
+  return loadCacheBytes(std::move(Bytes), Err);
 }
 
 //===----------------------------------------------------------------------===//
@@ -332,19 +344,9 @@ bool FacileSim::attachStore(store::CacheStoreDir &Store, std::string *Err) {
       Err->clear();
     return false;
   }
-  if (!Sim.attachCacheBase(M->arenas(), M, &Detail))
-    return noteLoadFailure("cache store rejected", Detail, Err);
-  Mapping = std::move(M);
-  // A mapped base is a warm start: report it through the same snapshot
-  // stats the byte-level loads use (--require-warm and monitoring key off
-  // these).
-  SnapStats.CacheLoaded = true;
-  SnapStats.CacheEntriesLoaded = Sim.cache().entryCount();
-  SnapStats.CacheNodesLoaded = Sim.cache().nodeCount();
-  if (telemetry::EventTracer *T = Sim.tracer()) {
-    Sim.flushTraceSpan();
-    T->instant("snapshot", "store-attach", "bytes", Mapping->mappedBytes());
-  }
+  const store::StoreMap *Map = M.get();
+  attachImage(Map->arenas(), std::move(M), Map, "store-attach",
+              Map->mappedBytes());
   return true;
 }
 

@@ -134,17 +134,23 @@ public:
   /// holding only live entries.
   std::vector<uint8_t> cacheBytes() const;
 
-  /// Restores a checkpoint container / a FACSTOR1 action-cache image; a
-  /// loaded cache is a private, owned copy. All-or-nothing: on any
-  /// mismatch or corruption the simulation is left exactly as it was (a
-  /// cold start), false is returned, and a diagnostic lands in \p Err when
-  /// given, else on stderr. Never aborts on bad input.
+  /// Restores a checkpoint container / a FACSTOR1 action-cache image.
+  /// All-or-nothing: on any mismatch or corruption the simulation is left
+  /// exactly as it was (a cold start), false is returned, and a diagnostic
+  /// lands in \p Err when given, else on stderr. Never aborts on bad
+  /// input.
   bool loadCheckpointBytes(const std::vector<uint8_t> &Bytes,
                            std::string *Err = nullptr);
-  bool loadCacheBytes(const std::vector<uint8_t> &Bytes,
-                      std::string *Err = nullptr);
+  /// A loaded cache image is attached in place exactly like a store
+  /// generation: this instance keeps \p Bytes as the read-only base of its
+  /// cache (replacing whatever the cache held and any attached store
+  /// mapping), new recordings go to a private overlay, the image sits
+  /// outside CacheBudgetBytes, and a budget clear resets the cache to it.
+  bool loadCacheBytes(std::vector<uint8_t> Bytes, std::string *Err = nullptr);
 
-  /// File-backed convenience wrappers over the byte-level API.
+  /// File-backed convenience wrappers over the byte-level API. loadCache
+  /// reads the file into memory (no mapping, so a file truncated under the
+  /// run cannot fault it) and attaches that buffer.
   bool saveCheckpoint(const std::string &Path, std::string *Err = nullptr);
   bool loadCheckpoint(const std::string &Path, std::string *Err = nullptr);
   bool saveCache(const std::string &Path, std::string *Err = nullptr);
@@ -155,13 +161,14 @@ public:
   //===-- Shared cache store -------------------------------------------------
 
   /// Maps the newest compatible generation from \p Store and attaches it
-  /// as this simulation's read-only cache base (new recordings go to a
-  /// private overlay). A clean miss — no store file for this
+  /// as this simulation's read-only cache base, replacing whatever the
+  /// cache held, as loadCacheBytes does with a buffer (new recordings go
+  /// to a private overlay). A clean miss — no store file for this
   /// configuration — returns false with \p Err empty and the simulation
-  /// cold, exactly like a missing snapshot; validation failures are
-  /// counted and diagnosed like corrupt snapshots. Call before the first
-  /// step. On success the mapping is pinned for this instance's lifetime
-  /// and the run counts as warm (snapshot stats report the base entries).
+  /// untouched, exactly like a missing snapshot; validation failures are
+  /// counted and diagnosed like corrupt snapshots. On success the mapping
+  /// is pinned until the next image is attached and the run counts as
+  /// warm (snapshot stats report the base entries).
   bool attachStore(store::CacheStoreDir &Store, std::string *Err = nullptr);
 
   /// Writes this instance's merged cache — base plus overlay, compacted
@@ -173,10 +180,9 @@ public:
                     uint64_t *OutGeneration = nullptr,
                     std::string *Err = nullptr);
 
-  /// The mapping this instance shares, or null when none is attached.
-  const std::shared_ptr<const store::StoreMap> &storeMapping() const {
-    return Mapping;
-  }
+  /// The store mapping attached as this instance's cache base, or null
+  /// when none is (including after a later loadCacheBytes).
+  const store::StoreMap *storeMapping() const { return Mapping; }
 
   rt::Simulation &sim() { return Sim; }
   const rt::Simulation &sim() const { return Sim; }
@@ -189,13 +195,21 @@ private:
                 std::string *Err);
   bool noteLoadFailure(const char *What, const std::string &Detail,
                        std::string *Err);
+  /// The tail every successful load shares: attaches the parsed image
+  /// pinned by \p Keepalive (\p Map when it is a store mapping), updates
+  /// the snapshot stats and emits the \p Event tracer instant.
+  void attachImage(const rt::ActionCache::BaseArenas &Arenas,
+                   std::shared_ptr<const void> Keepalive,
+                   const store::StoreMap *Map, const char *Event,
+                   uint64_t Bytes);
 
   const CompiledProgram &Prog; ///< for pass stats in statsJson()
   rt::Simulation Sim;
   BranchUnit BU;
   MemoryHierarchy MH;
   SnapshotStats SnapStats;
-  std::shared_ptr<const store::StoreMap> Mapping; ///< attached store base
+  /// The attached store base; pinned by the simulation's one keepalive.
+  const store::StoreMap *Mapping = nullptr;
   size_t TopActions = 8; ///< "profile" block top_actions rows
 };
 

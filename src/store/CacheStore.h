@@ -18,9 +18,9 @@
 /// in-memory layout plus a validated header: mapping a store file costs no
 /// deserialization, no rehash and no per-session copies of the node, seal,
 /// data or key arenas. Each consumer layers a private copy-on-write overlay
-/// (ActionCache::attachBase) over the mapping; the base is never written.
-/// Loading a saved cache file parses the same image and copies it into a
-/// private, owned cache (ActionCache::loadImage).
+/// (ActionCache::attachBase) over the image; the base is never written.
+/// Loading a saved cache file parses the same image inside the buffer the
+/// file was read into and attaches that buffer the same way.
 ///
 /// Files are keyed by Simulation::compatKey() — the hash binding a cache
 /// to the exact compiled program, options, ISA revision and target image —
@@ -123,7 +123,7 @@ public:
                                               std::string &Err);
 
   /// A base-layer view into the mapping, ready for
-  /// ActionCache::attachBase. Valid for this StoreMap's lifetime.
+  /// Simulation::attachCacheBase. Valid for this StoreMap's lifetime.
   const rt::ActionCache::BaseArenas &arenas() const { return Image.Arenas; }
 
   uint64_t compatKey() const { return CompatKeyV; }

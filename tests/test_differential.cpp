@@ -344,13 +344,14 @@ TEST(Differential, SharedPlanMatchesOwnedPlan) {
   }
 }
 
-TEST(Differential, StoreBackedMatchesOwnedCache) {
-  // The mmap-shared store is a third way to reach the same cache contents:
-  // a sim replaying through a read-only base mapping (with its private
-  // copy-on-write overlay) must compute exactly what the private
-  // deserialized copy computes, which in turn must equal the
-  // no-memoization oracle. Both warm paths must actually replay
-  // (FastSteps > 0), or the comparison is vacuous.
+TEST(Differential, StoreBackedMatchesLoadedCache) {
+  // A saved cache reaches the runtime two ways, both attached in place as
+  // the cache's read-only base: a loaded file's buffer and a mapped store
+  // generation. Each must compute exactly what the no-memoization oracle
+  // computes, and both warm paths must actually replay (FastSteps > 0),
+  // or the comparison is vacuous. A third input loads an image under a
+  // budget small enough to force clears: the image sits outside the
+  // budget, so every clear resets the cache to it instead of emptying it.
   std::string StoreDirPath = ::testing::TempDir() + "facile_diff_store";
   for (SimKind Kind :
        {SimKind::Functional, SimKind::InOrder, SimKind::OutOfOrder}) {
@@ -370,8 +371,7 @@ TEST(Differential, StoreBackedMatchesOwnedCache) {
       std::string Err;
       ASSERT_TRUE(Builder.promoteStore(Store, nullptr, &Err)) << Err;
 
-      auto capture = [&](FacileSim &Sim) {
-        Sim.run(MaxInstrs);
+      auto finalState = [&](const FacileSim &Sim) {
         FinalState F;
         F.Halted = Sim.sim().halted();
         F.RetiredTotal = Sim.sim().stats().RetiredTotal;
@@ -387,19 +387,60 @@ TEST(Differential, StoreBackedMatchesOwnedCache) {
         return F;
       };
 
-      FacileSim WarmOwned(Kind, Image);
-      ASSERT_TRUE(WarmOwned.loadCacheBytes(CacheSnap, &Err)) << Err;
-      FinalState Owned = capture(WarmOwned);
-      EXPECT_GT(WarmOwned.sim().stats().FastSteps, 0u);
-      EXPECT_EQ(Owned, Oracle);
+      FacileSim WarmLoaded(Kind, Image);
+      ASSERT_TRUE(WarmLoaded.loadCacheBytes(CacheSnap, &Err)) << Err;
+      ASSERT_TRUE(WarmLoaded.sim().cacheBaseAttached());
+      WarmLoaded.run(MaxInstrs);
+      FinalState Loaded = finalState(WarmLoaded);
+      EXPECT_GT(WarmLoaded.sim().stats().FastSteps, 0u);
+      EXPECT_EQ(Loaded, Oracle);
 
       FacileSim WarmStore(Kind, Image);
       ASSERT_TRUE(WarmStore.attachStore(Store, &Err)) << Err;
       ASSERT_TRUE(WarmStore.sim().cacheBaseAttached());
-      FinalState Mapped = capture(WarmStore);
+      WarmStore.run(MaxInstrs);
+      FinalState Mapped = finalState(WarmStore);
       EXPECT_GT(WarmStore.sim().stats().FastSteps, 0u);
       EXPECT_EQ(Mapped, Oracle);
-      EXPECT_EQ(Mapped.MemDigest, Owned.MemDigest);
+      EXPECT_EQ(Mapped.MemDigest, Loaded.MemDigest);
+
+      // The budget is part of the compat key, so the tiny-budget image
+      // comes from a builder under the same budget.
+      rt::Simulation::Options Tiny;
+      Tiny.CacheBudgetBytes = 16u << 10;
+      // The builder may end just after a clear, so keep its latest
+      // non-empty image.
+      FacileSim TinyBuilder(Kind, Image, Tiny);
+      std::vector<uint8_t> TinySnap;
+      while (!TinyBuilder.sim().halted() && !TinyBuilder.faulted() &&
+             TinyBuilder.sim().stats().RetiredTotal < MaxInstrs) {
+        TinyBuilder.sim().run(256);
+        if (TinyBuilder.sim().cache().entryCount() != 0)
+          TinySnap = TinyBuilder.cacheBytes();
+      }
+      FacileSim WarmTiny(Kind, Image, Tiny);
+      ASSERT_TRUE(WarmTiny.loadCacheBytes(TinySnap, &Err)) << Err;
+      const rt::ActionCache &TinyCache = WarmTiny.sim().cache();
+      size_t LoadedEntries = TinyCache.entryCount();
+      ASSERT_GT(LoadedEntries, 0u);
+      // FacileSim::run's 256-step batches, taken one step at a time so the
+      // cache is inspected right after every budget clear.
+      uint64_t ClearsSeen = 0, NotReset = 0;
+      rt::Simulation &TinySim = WarmTiny.sim();
+      while (!TinySim.halted() && !TinySim.faulted() &&
+             TinySim.stats().RetiredTotal < MaxInstrs)
+        for (int I = 0; I != 256 && !TinySim.halted() && !TinySim.faulted();
+             ++I) {
+          uint64_t Clears = TinyCache.stats().Clears;
+          TinySim.run(1);
+          if (TinyCache.stats().Clears != Clears) {
+            ++ClearsSeen;
+            NotReset += TinyCache.entryCount() != LoadedEntries;
+          }
+        }
+      EXPECT_GT(ClearsSeen, 0u);
+      EXPECT_EQ(NotReset, 0u);
+      EXPECT_EQ(finalState(WarmTiny), Oracle);
     }
   }
   // Content addressing keyed every (simulator, workload) pair separately;

@@ -194,8 +194,9 @@ TEST(FaultCampaign, MemoryFlipsTerminateCleanly) {
       Inj.inject();
     }
     ASSERT_LE(Guard, Steps * 4) << "seed " << Seed << ": hang";
-    if (Sim.faulted())
+    if (Sim.faulted()) {
       EXPECT_NE(Sim.fault().Kind, FaultKind::None) << "seed " << Seed;
+    }
   }
 }
 
@@ -734,8 +735,9 @@ TEST(FaultCampaign, JitMemoryFlipsTerminateCleanly) {
       Inj.inject();
     }
     ASSERT_LE(Guard, Steps * 4) << "seed " << Seed << ": hang";
-    if (Sim.faulted())
+    if (Sim.faulted()) {
       EXPECT_NE(Sim.fault().Kind, FaultKind::None) << "seed " << Seed;
+    }
   }
 }
 

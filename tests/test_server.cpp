@@ -1227,4 +1227,25 @@ TEST(ServerUnixSocket, LiveSocketRefusedStaleSocketRebound) {
   EXPECT_NE(::access(Path.c_str(), F_OK), 0);
 }
 
+TEST(ServerLifecycle, ImmediateShutdownNeverLosesAWakeup) {
+  // A worker that has just found the queue empty and Stop unset holds the
+  // queue mutex until it sleeps; a shutdown notify sent without passing
+  // through that mutex can land in the gap and be lost, and wait() then
+  // blocks forever joining the sleeper. The gap is a few instructions
+  // wide, so this is a stress loop (many workers, shutdown racing their
+  // start-up): a lost wakeup shows up as a hang, caught by the ctest
+  // timeout. Before the fix, three concurrent 5,000-iteration copies of
+  // this loop hung once, so a single run only rarely catches a
+  // regression.
+  for (int I = 0; I != 100; ++I) {
+    ServerOptions O;
+    O.Workers = 16;
+    FacileServer S{std::move(O)};
+    std::string Err;
+    ASSERT_TRUE(S.start(&Err)) << Err;
+    S.requestShutdown();
+    S.wait();
+  }
+}
+
 } // namespace

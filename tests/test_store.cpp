@@ -2,7 +2,7 @@
 //
 // The store subsystem's contract, exercised end to end: a promoted action
 // cache comes back bit-identical through a read-only mapping (same
-// replayed results as the private deserialization path), generations pick
+// replayed results as a loaded saved cache), generations pick
 // the newest compatible file, every corruption is a diagnosed cold start,
 // N consumers share one mapping, and — the point of the design — two
 // independent processes over one store file compute identical digests
@@ -435,14 +435,59 @@ TEST(CacheStore, AttachRules) {
     EXPECT_TRUE(Err.empty());
     EXPECT_FALSE(Sim.sim().cacheBaseAttached());
   }
-  // Attach is before-first-step only: a warmed cache refuses a base.
+  // Attaching replaces whatever the cache holds: a warmed cache drops its
+  // own recordings for the base and still finishes like a cold run.
   {
+    FacileSim Cold(SimKind::OutOfOrder, Image);
+    Cold.run(kBudget);
     FacileSim Sim(SimKind::OutOfOrder, Image);
     Sim.run(10'000);
-    EXPECT_FALSE(Sim.attachStore(Store, &Err));
-    EXPECT_FALSE(Err.empty());
-    EXPECT_FALSE(Sim.sim().cacheBaseAttached());
+    ASSERT_GT(Sim.sim().cache().overlayNodeCount(), 0u);
+    EXPECT_TRUE(Sim.attachStore(Store, &Err)) << Err;
+    EXPECT_TRUE(Sim.sim().cacheBaseAttached());
+    EXPECT_EQ(Sim.sim().cache().overlayNodeCount(), 0u);
+    EXPECT_EQ(Sim.sim().cache().entryCount(),
+              Sim.snapshotStats().CacheEntriesLoaded);
+    Sim.run(kBudget);
+    EXPECT_EQ(Sim.sim().memory().digest(), Cold.sim().memory().digest());
+    EXPECT_EQ(Sim.sim().stats().RetiredTotal, Cold.sim().stats().RetiredTotal);
+    EXPECT_EQ(Sim.sim().stats().Cycles, Cold.sim().stats().Cycles);
   }
+  removeTree(Dir);
+}
+
+TEST(CacheStore, LoadingACacheReleasesTheStoreMapping) {
+  // A loaded image replaces an attached store base outright: the mapping
+  // is unpinned and the store metrics stop reporting its generation.
+  isa::TargetImage Image = workload::generate(testSpec(), 2);
+  FacileSim Cold(SimKind::OutOfOrder, Image);
+  Cold.run(kBudget);
+  FacileSim Builder(SimKind::OutOfOrder, Image);
+  Builder.run(kBudget);
+  std::string Dir = freshDir("release");
+  store::CacheStoreDir Store(Dir);
+  std::string Err;
+  ASSERT_TRUE(Builder.promoteStore(Store, nullptr, &Err)) << Err;
+
+  FacileSim Sim(SimKind::OutOfOrder, Image);
+  ASSERT_TRUE(Sim.attachStore(Store, &Err)) << Err;
+  ASSERT_NE(Sim.storeMapping(), nullptr);
+  EXPECT_EQ(Store.mappedCount(), size_t(1));
+  EXPECT_NE(Sim.statsJson().find(R"("store":{"attached":true,"generation":1)"),
+            std::string::npos);
+
+  ASSERT_TRUE(Sim.loadCacheBytes(Builder.cacheBytes(), &Err)) << Err;
+  EXPECT_TRUE(Sim.sim().cacheBaseAttached());
+  EXPECT_EQ(Sim.storeMapping(), nullptr);
+  EXPECT_EQ(Store.mappedCount(), size_t(0));
+  EXPECT_NE(Sim.statsJson().find(R"("store":{"attached":false,"generation":0)"),
+            std::string::npos);
+
+  Sim.run(kBudget);
+  EXPECT_GT(Sim.sim().stats().FastSteps, 0u);
+  EXPECT_EQ(Sim.sim().memory().digest(), Cold.sim().memory().digest());
+  EXPECT_EQ(Sim.sim().stats().RetiredTotal, Cold.sim().stats().RetiredTotal);
+  EXPECT_EQ(Sim.sim().stats().Cycles, Cold.sim().stats().Cycles);
   removeTree(Dir);
 }
 
@@ -471,7 +516,7 @@ TEST(CacheStore, ManySimsShareOneMapping) {
   // One StoreMap object behind all four sims.
   EXPECT_EQ(Store.mappedCount(), size_t(1));
   for (int I = 1; I != 4; ++I)
-    EXPECT_EQ(Sims[I]->storeMapping().get(), Sims[0]->storeMapping().get());
+    EXPECT_EQ(Sims[I]->storeMapping(), Sims[0]->storeMapping());
 
   // The mapping is read-only in this process's address space: new
   // recordings land in private overlays, never in the shared base.

@@ -244,8 +244,8 @@ int main(int Argc, char **Argv) {
                  LoadCache.c_str(),
                  (unsigned long long)Sim.snapshotStats().CacheEntriesLoaded);
 
-  // The shared store maps read-only underneath any cache a --load-cache
-  // already privatized, so only attach when the cache is still empty.
+  // A --load-cache image is already the cache's base; attaching the store
+  // would replace it, so the store is only consulted when nothing loaded.
   std::unique_ptr<store::CacheStoreDir> StoreDir;
   if (!CacheStorePath.empty())
     StoreDir = std::make_unique<store::CacheStoreDir>(CacheStorePath);
